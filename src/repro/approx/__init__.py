@@ -19,9 +19,8 @@ Layering:
 * :mod:`repro.approx.bounds` — :class:`ApproxResult`, the typed degraded
   answer (never confusable with an exact one).
 
-Serving wires it in behind opt-in config (``degrade="bounded"`` on
-:class:`~repro.shard.ShardedService`, ``approx=...`` on
-:class:`~repro.service.QueryService`); the default-off path is untouched.
+Serving wires it in behind one opt-in config, ``degrade="bounded"`` on
+:class:`~repro.shard.ShardedService`; the default-off path is untouched.
 """
 
 from .bounds import REASONS, ApproxResult

@@ -2,8 +2,8 @@
 
 :class:`ApproxTier` is the stateful piece the serving layer plugs in.  It
 keeps one deterministic :class:`~repro.replog.state.LogicalState` mirror
-per slot (a slot is a shard in a cluster, or the single slot 0 for an
-unsharded :class:`~repro.service.QueryService`), builds an
+per slot (one slot per shard of a :class:`~repro.shard.ShardedService`,
+which feeds every admitted mutation through the ``note_*`` verbs), builds an
 :class:`~repro.approx.synopsis.ApproxSynopsis` per slot on demand, and
 answers batches with certified intervals when the exact path cannot.
 
@@ -15,11 +15,6 @@ their bands by that envelope and stay certified.  Past
 ``policy.max_staleness`` pending mutations the slot is rebuilt (or, with
 ``auto_refresh=False``, the tier refuses and the caller falls back to
 the exact-path failure).
-
-The tier degrades to *refusing* rather than guessing whenever its mirror
-may have diverged from the authoritative index: an unrecorded mutation
-(``record=None``, e.g. a restore) marks it desynced until the next bulk
-load reseeds the mirrors.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from ..core.geometry import Box
 from ..core.values import BoundedValue
 from ..obs import registry as _registry
 from ..obs import trace as _trace
-from ..replog.records import BulkLoadOp, DeleteOp, InsertOp, Operation, SetMetaOp
+from ..replog.records import BulkLoadOp, DeleteOp, InsertOp, Operation
 from ..replog.state import LogicalState
 from .bounds import ApproxResult
 from .synopsis import SUPPORTED_MEASURES, ApproxSynopsis, build_synopsis, measured_weight
@@ -98,7 +93,6 @@ class ApproxTier:
         self._pending_hi = [0.0] * slots
         self._pending_n = [0] * slots
         self._version = 0
-        self._desynced = False
         self._probes_per_query = 1 << dims
         reg = registry if registry is not None else _registry.null_registry()
         self._m_builds = reg.counter(
@@ -108,7 +102,7 @@ class ApproxTier:
             "repro_approx_answers", "batches answered with certified bounds, by reason"
         )
         self._m_refusals = reg.counter(
-            "repro_approx_refusals", "degraded answers refused (desynced or too stale)"
+            "repro_approx_refusals", "degraded answers refused (too stale)"
         )
         self._m_cells = reg.gauge(
             "repro_approx_cells", "fitted synopsis cells currently serving"
@@ -136,7 +130,7 @@ class ApproxTier:
             self._note(target, InsertOp(box, float(value)))
 
     def note_bulk_load(self, per_slot: Sequence[Sequence[Tuple[Box, float]]]) -> None:
-        """Reseed every slot mirror from a full bulk load (clears desync)."""
+        """Reseed every slot mirror from a full bulk load."""
         if len(per_slot) != self.slots:
             raise ValueError(f"expected {self.slots} slot lists, got {len(per_slot)}")
         with self._lock:
@@ -146,34 +140,6 @@ class ApproxTier:
                 )
                 self._reset_slot(slot)
             self._version += 1
-            self._desynced = False
-
-    def note_record(self, slot: int, record: Optional[Operation]) -> None:
-        """Feed one oplog-style record; ``None`` means an unrecorded mutation."""
-        with self._lock:
-            if record is None:
-                self._desynced = True
-                return
-            if isinstance(record, (InsertOp, DeleteOp)):
-                self._note(slot, record)
-            elif isinstance(record, BulkLoadOp):
-                self._states[slot].apply(record)
-                self._reset_slot(slot)
-                self._version += 1
-                if self.slots == 1:
-                    # The whole mirror was just reseeded, so nothing stale
-                    # can survive — the single-slot path to re-trusting a
-                    # desynced tier (clusters reseed via note_bulk_load).
-                    self._desynced = False
-            elif isinstance(record, SetMetaOp):
-                pass  # metadata writes do not move aggregates
-            else:
-                self._desynced = True
-
-    def desync(self) -> None:
-        """Mark the mirrors untrusted (refuse answers until reseeded)."""
-        with self._lock:
-            self._desynced = True
 
     def _note(self, slot: int, op: Operation) -> None:
         self._states[slot].apply(op)
@@ -243,15 +209,12 @@ class ApproxTier:
         ``slots`` restricts the synopsis contribution to those slot ids
         (an outage degradation); ``base`` supplies the exact per-query
         sums already gathered from the ``answered`` slots, folded in as
-        degenerate intervals.  Refusal (desynced, or stale beyond policy
-        with ``auto_refresh=False``) returns ``None`` so the caller can
-        fall back to its exact-path failure.
+        degenerate intervals.  Refusal (stale beyond policy with
+        ``auto_refresh=False``) returns ``None`` so the caller can fall
+        back to its exact-path failure.
         """
         queries = list(queries)
         with self._lock:
-            if self._desynced:
-                self._m_refusals.inc(label=self.label)
-                return None
             slot_list = sorted(set(slots)) if slots is not None else list(range(self.slots))
             for slot in slot_list:
                 if slot < 0 or slot >= self.slots:
@@ -311,8 +274,8 @@ class ApproxTier:
         )
         if result is None:
             raise NotSupportedError(
-                "approximate tier cannot answer: mirrors are desynced or stale "
-                "beyond policy (reseed via bulk load or enable auto_refresh)"
+                "approximate tier cannot answer: mirrors are stale beyond "
+                "policy (reseed via bulk load or enable auto_refresh)"
             )
         return result
 
@@ -323,12 +286,6 @@ class ApproxTier:
         """Total mutations noted (the tier's logical epoch)."""
         with self._lock:
             return self._version
-
-    @property
-    def desynced(self) -> bool:
-        """True when the mirrors can no longer be trusted."""
-        with self._lock:
-            return self._desynced
 
     def synopsis(self, slot: int = 0) -> Optional[ApproxSynopsis]:
         """The serving synopsis for ``slot`` (None before first build)."""
@@ -355,7 +312,6 @@ class ApproxTier:
             return {
                 "slots": self.slots,
                 "version": self._version,
-                "desynced": self._desynced,
                 "measure": self.measure,
                 "pieces": self.policy.pieces,
                 "degree": self.policy.degree,

@@ -32,6 +32,7 @@ from ..core.aggregator import BoxSumIndex
 from ..obs import MetricsRegistry
 from ..replog import ReplicationLog
 from ..replog.records import BulkLoadOp, DeleteOp, InsertOp, SetMetaOp, decode_op
+from ..resilience import ReplicaGroup
 from ..service import QueryService
 from ..workloads import clustered_boxes
 from .config import BenchConfig
@@ -81,8 +82,10 @@ def _rebuild_per_op(cfg: BenchConfig, replog: ReplicationLog) -> Tuple[QueryServ
 def _run(cfg: BenchConfig, directory: str) -> List[Row]:
     registry = MetricsRegistry()
     replog = ReplicationLog(directory, registry=registry, label="bench-replog")
-    primary = _make_service(cfg, registry)
-    primary.oplog = replog
+    # A one-member group is the log's only writer, as in a logged cluster.
+    primary = ReplicaGroup(
+        0, [_make_service(cfg, registry)], registry=registry, replication_log=replog
+    )
     rebuilt = None
     restored = None
     try:

@@ -69,10 +69,10 @@ class HealSupervisor:
     ----------
     cluster:
         The :class:`~repro.shard.cluster.ShardedService` to supervise.
-        Replicated clusters heal at the member level (poisoning, digest
-        divergence, breaker trips, dead worker processes); unreplicated
-        clusters heal crashed process workers through
-        :meth:`~repro.shard.cluster.ShardedService.restart_worker`.
+        Healing works on its replica groups, at the member level
+        (poisoning, digest divergence, breaker trips, dead worker
+        processes); a cluster built with ``heal=`` always has them, even
+        with no replicas.
     policy:
         The :class:`~repro.heal.policy.HealPolicy` (defaults apply).
     clock / sleep:
@@ -145,34 +145,28 @@ class HealSupervisor:
     def health(self) -> List[ComponentHealth]:
         """Derived health of every member, in (shard, member) order."""
         with self._lock:
-            out: List[ComponentHealth] = []
-            groups = self.cluster.groups
-            if groups:
-                for sid, group in enumerate(groups):
-                    for mid in range(len(group.members)):
-                        out.append(self._component(sid, mid, group, group.members[mid]))
-            else:
-                for sid, shard in enumerate(self.cluster.services):
-                    out.append(self._component(sid, 0, None, shard))
-            return out
+            return [
+                self._component(sid, mid, group)
+                for sid, group in enumerate(self.cluster.groups)
+                for mid in range(len(group.members))
+            ]
 
-    def _component(self, sid: int, mid: int, group, member) -> ComponentHealth:
+    def _component(self, sid: int, mid: int, group) -> ComponentHealth:
         key = (sid, mid)
-        lag = group.replica_lag(mid) if group is not None else 0
+        lag = group.replica_lag(mid)
         state = self._repairs.get(key)
         attempts = state.attempts if state is not None else 0
         if key in self._quarantined:
             return ComponentHealth(
                 sid, mid, QUARANTINED, self._quarantine_reasons.get(key, ""), attempts, lag
             )
-        crashed = bool(getattr(member, "crashed", False))
-        poisoned = group.is_poisoned(mid) if group is not None else False
-        if poisoned or crashed:
+        crashed = bool(getattr(group.members[mid], "crashed", False))
+        if group.is_poisoned(mid) or crashed:
             reason = "worker process dead" if crashed else "poisoned (excluded from rotation)"
             return ComponentHealth(
                 sid, mid, REPAIRING if attempts else SUSPECT, reason, attempts, lag
             )
-        if group is not None and group.breakers[mid].state in (OPEN, HALF_OPEN, FORCED_OPEN):
+        if group.breakers[mid].state in (OPEN, HALF_OPEN, FORCED_OPEN):
             return ComponentHealth(
                 sid, mid, SUSPECT, f"breaker {group.breakers[mid].state}", attempts, lag
             )
@@ -207,7 +201,6 @@ class HealSupervisor:
             ):
                 self._audit(events)
             self._heal_groups(events)
-            self._heal_workers(events)
             self._publish()
             self._m_ticks.inc(outcome="ok", label=self.label)
             for event in events:
@@ -239,12 +232,7 @@ class HealSupervisor:
                 member = group.members[mid]
                 crashed = bool(getattr(member, "crashed", False))
                 if group.is_poisoned(mid) or crashed:
-                    self._attempt_repair(
-                        key, events, lambda: group.repair(
-                            mid, audit_probes=self.policy.audit_probes
-                        ),
-                        group=group,
-                    )
+                    self._attempt_repair(key, group, events)
                 elif group.breakers[mid].state in (OPEN, HALF_OPEN, FORCED_OPEN):
                     # OPEN inside the cooldown and FORCED_OPEN refuse the
                     # probe at allow(); half-open is where it lands.
@@ -255,24 +243,7 @@ class HealSupervisor:
                     # stale backoff state would slow the *next* incident.
                     self._repairs.pop(key, None)
 
-    def _heal_workers(self, events: List[HealEvent]) -> None:
-        """Unreplicated clusters: respawn + restore crashed process workers."""
-        if self.cluster.groups:
-            return
-        for sid, shard in enumerate(self.cluster.services):
-            key = (sid, 0)
-            if key in self._quarantined:
-                continue
-            if bool(getattr(shard, "crashed", False)):
-                self._attempt_repair(
-                    key, events, lambda: self.cluster.restart_worker(sid), group=None
-                )
-            else:
-                self._repairs.pop(key, None)
-
-    def _attempt_repair(
-        self, key: _Key, events: List[HealEvent], repair: Callable[[], object], *, group
-    ) -> None:
+    def _attempt_repair(self, key: _Key, group, events: List[HealEvent]) -> None:
         sid, mid = key
         state = self._repairs.setdefault(key, _RepairState())
         now = self._clock()
@@ -281,7 +252,7 @@ class HealSupervisor:
         state.attempts += 1
         tracer = _trace._ACTIVE
         try:
-            repair()
+            group.repair(mid, audit_probes=self.policy.audit_probes)
         except NotSupportedError as exc:
             # No log to restore from (or no way to respawn): retrying can
             # never succeed, so quarantine immediately rather than loop.
@@ -377,18 +348,17 @@ class HealSupervisor:
         self._quarantined.add(key)
         self._quarantine_reasons[key] = reason
         self._repairs.pop(key, None)
-        if group is not None:
-            # Poisoned members are already excluded; forcing the breaker
-            # open too makes quarantine visible in the breaker state and
-            # covers the (operator-revived, still-broken) edge.
-            group.breakers[mid].force_open()
+        # Poisoned members are already excluded; forcing the breaker open
+        # too makes quarantine visible in the breaker state and covers the
+        # (operator-revived, still-broken) edge.
+        group.breakers[mid].force_open()
         self._counts["quarantines"] += 1
         self._m_quarantines.inc(label=self.label)
         events.append(HealEvent("quarantined", sid, mid, reason, self._ticks))
         tracer = _trace._ACTIVE
         if tracer is not None:
             tracer.event("heal_quarantined", shard=sid, member=mid, reason=reason)
-        if group is not None and self.policy.replace_quarantined:
+        if self.policy.replace_quarantined:
             try:
                 new_mid = group.add_member()
             except NotSupportedError:

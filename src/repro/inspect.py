@@ -272,11 +272,11 @@ def dump_resilience(target) -> str:
 
     Accepts a single :class:`~repro.resilience.group.ReplicaGroup` or a
     replicated :class:`~repro.shard.ShardedService` (one line-group per
-    shard; an unreplicated cluster renders a single note).
+    shard; a cluster of plain services renders a single note).
     """
     if isinstance(target, ShardedService):
         if not target.groups:
-            return "resilience: cluster is unreplicated (no replica groups)"
+            return "resilience: shards are plain services (no replica groups)"
         return "\n".join(dump_resilience(group) for group in target.groups)
     group = target
     stats = group.stats()
@@ -305,7 +305,7 @@ def dump_approx(tier: ApproxTier) -> str:
     stats = tier.stats()
     lines = [
         f"ApproxTier(label={tier.label}, slots={stats['slots']}, "
-        f"measure={stats['measure']}, desynced={stats['desynced']})",
+        f"measure={stats['measure']})",
         f"{_INDENT}policy pieces={stats['pieces']} degree={stats['degree']} "
         f"max_staleness={stats['max_staleness']} auto_refresh={stats['auto_refresh']}",
         f"{_INDENT}version={stats['version']}",

@@ -23,7 +23,7 @@ from .records import (
     encode_op,
 )
 from .digest import StateDigest, identity_token, meta_token
-from .shipper import CatchUpDaemon, ReplicationLog, RestoreReport
+from .shipper import ReplicationLog, RestoreReport
 from .state import LogicalState
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "decode_op",
     "ReplicationLog",
     "RestoreReport",
-    "CatchUpDaemon",
     "LogicalState",
     "StateDigest",
     "identity_token",

@@ -320,94 +320,4 @@ class ReplicationLog:
         self.close()
 
 
-class CatchUpDaemon:
-    """A background loop that keeps driving a catch-up callable.
-
-    Wraps any zero-argument callable — typically
-    ``cluster.catch_up_all`` or a bound ``group.catch_up`` — and invokes
-    it every ``interval`` seconds until stopped.  Exceptions are counted,
-    never raised into the thread (a failed catch-up attempt leaves the
-    member poisoned; the next tick retries).
-
-    .. deprecated::
-        Superseded by :class:`repro.heal.HealSupervisor`, which drives the
-        same catch-up verbs from an actual health model (breaker state,
-        process liveness, digest audits) with backoff and crash-loop
-        quarantine instead of blind periodic retries.  The daemon remains
-        for callers that want exactly a dumb retry loop.
-    """
-
-    def __init__(
-        self,
-        fn: Callable[[], object],
-        *,
-        interval: float = 1.0,
-        registry: Optional[MetricsRegistry] = None,
-        label: str = "replog",
-    ) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        self._fn = fn
-        self.interval = interval
-        self.label = label
-        registry = registry if registry is not None else get_registry()
-        self._m_ticks = registry.counter(
-            "repro_replog_catchup_ticks",
-            "catch-up daemon invocations, by outcome (ok/noop/error)",
-        )
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self.errors = 0
-        self.ticks = 0
-
-    def start(self) -> "CatchUpDaemon":
-        if self._thread is not None and self._thread.is_alive():
-            raise RuntimeError("daemon already started")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name=f"repro-catchup[{self.label}]", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.ticks += 1
-            try:
-                result = self._fn()
-            except Exception:
-                self.errors += 1
-                self._m_ticks.inc(outcome="error", label=self.label)
-            else:
-                # A falsy result (catch_up_all returns {} when nothing was
-                # poisoned) is a no-op tick — split out so dashboards can
-                # tell "healthy and idle" from "actively reviving".
-                outcome = "ok" if result else "noop"
-                self._m_ticks.inc(outcome=outcome, label=self.label)
-
-    def stop(self, timeout: Optional[float] = 5.0) -> bool:
-        """Stop the loop; idempotent, safe before :meth:`start`.
-
-        Joins the thread with ``timeout`` (None = wait forever).  Returns
-        True when the thread is down (or never ran), False when the join
-        timed out — the thread keeps draining its current tick and the
-        caller may stop() again.
-        """
-        self._stop.set()
-        thread = self._thread
-        if thread is None:
-            return True
-        thread.join(timeout)
-        if thread.is_alive():
-            return False
-        self._thread = None
-        return True
-
-    def __enter__(self) -> "CatchUpDaemon":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-
-__all__ = ["ReplicationLog", "RestoreReport", "CatchUpDaemon"]
+__all__ = ["ReplicationLog", "RestoreReport"]

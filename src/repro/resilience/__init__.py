@@ -13,8 +13,6 @@ package layers:
 * :mod:`~repro.resilience.group` — :class:`ReplicaGroup`: synchronous
   mutation fan-out, breaker-gated failover with deadlines, backoff and
   hedged reads;
-* :mod:`~repro.resilience.router` — :class:`FailoverRouter`: the exact
-  scatter-gather router over groups;
 * :mod:`~repro.resilience.partial` — :class:`PartialResult`: opt-in
   graceful degradation with the outage as an explicit error bound;
 * :mod:`~repro.resilience.chaos` — deterministic fault injection
@@ -35,7 +33,6 @@ from .chaos import (
 from .config import BreakerConfig, ResilienceConfig
 from .group import ReplicaGroup
 from .partial import PartialResult
-from .router import FailoverRouter
 
 __all__ = [
     "BreakerConfig",
@@ -43,7 +40,6 @@ __all__ = [
     "ChaosPlan",
     "CLOSED",
     "CrashableService",
-    "FailoverRouter",
     "FaultyQueryService",
     "FORCED_OPEN",
     "HALF_OPEN",

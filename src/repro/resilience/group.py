@@ -97,11 +97,11 @@ class ReplicaGroup:
         The :class:`~repro.resilience.config.ResilienceConfig` failover
         policy.
     replication_log:
-        An optional :class:`~repro.replog.ReplicationLog`.  The group
-        appends one record per admitted mutation (members' own services
-        must *not* carry an oplog, or mutations would double-log) and the
-        recovery verbs — ``catch_up``/``add_member``/``recover_to`` —
-        become available.
+        An optional :class:`~repro.replog.ReplicationLog`.  The group is
+        the only writer: it appends one record per admitted mutation, and
+        the recovery verbs — ``catch_up``/``add_member``/``repair``/
+        ``recover_to`` — become available.  A one-member group is how an
+        unreplicated shard gets a log.
     member_factory:
         Zero-argument callable building a fresh, empty member service;
         lets ``add_member()`` and the cluster's replica seeding mint

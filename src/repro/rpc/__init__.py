@@ -13,14 +13,13 @@ in-process path because the same doubles cross the wire as exact IEEE-754
 bit patterns.
 """
 
-from .client import WorkerClient, spawn_workers
+from .client import WorkerClient
 from .codec import RemoteWorkerError
 from .wire import FLAG_TRACE, MAX_FRAME, PROTOCOL_VERSION, Hello
 from .worker import WorkerSpec, build_index, build_service, make_spec, worker_main
 
 __all__ = [
     "WorkerClient",
-    "spawn_workers",
     "RemoteWorkerError",
     "WorkerSpec",
     "make_spec",

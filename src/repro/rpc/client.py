@@ -23,11 +23,10 @@ Design notes:
   responses carry the request id and stale frames (from an exchange a
   previous caller abandoned mid-crash) are discarded, so one late answer
   can never skew every call after it.
-* **client-side oplog** — an attached replication log is appended *after*
-  the worker acks the mutation, still under the client mutex, preserving
-  the ``epoch = base_epoch + LSN`` invariant the log-shipping layer
-  relies on.  Replicated clusters attach the log at the group level
-  instead, exactly as with in-process members.
+* **parent-side digest** — the stream digest of acked mutations is noted
+  under the client mutex, so the divergence audit can read it even from a
+  dead worker.  The replication log lives on the replica group, exactly as
+  with in-process members.
 * **lifecycle escalation** — :meth:`close` drains with a graceful
   SHUTDOWN round-trip (bounded by ``shutdown_timeout``), then
   ``terminate()``, then ``kill()``; no worker child outlives its cluster.
@@ -41,7 +40,8 @@ import socket
 import struct
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import nullcontext
+from typing import Dict, List, Optional, Sequence
 
 from ..core.errors import (
     NotSupportedError,
@@ -85,9 +85,6 @@ class WorkerClient:
     spec:
         The :class:`~repro.rpc.worker.WorkerSpec` the child builds its
         index and service from.
-    oplog:
-        Optional parent-side :class:`~repro.replog.ReplicationLog`; every
-        acked mutation appends one record (see module docstring).
     planning_index:
         The parent-side planning twin; built from the spec when omitted.
     shutdown_timeout:
@@ -99,13 +96,11 @@ class WorkerClient:
         spec: WorkerSpec,
         *,
         registry: Optional[MetricsRegistry] = None,
-        oplog=None,
         planning_index=None,
         shutdown_timeout: float = 5.0,
     ) -> None:
         self.spec = spec
         self.label = spec.label
-        self.oplog = oplog
         self.shutdown_timeout = shutdown_timeout
         self.index = planning_index if planning_index is not None else build_index(spec)
         self._supports_probes = bool(getattr(self.index, "supports_probes", False))
@@ -328,22 +323,16 @@ class WorkerClient:
         flags = wire.FLAG_TRACE if tracer is not None else 0
         start = time.perf_counter()
         outcome = "ok"
+        span = (
+            tracer.span("rpc.call", verb=verb, worker=self.label, pid=self.pid)
+            if tracer is not None
+            else nullcontext()
+        )
         try:
-            if tracer is None:
-                with self._lock:
-                    result = self._exchange_locked(kind, payload, flags)
-                    if record is not None:
-                        self._digest.note(record)
-                        if self.oplog is not None:
-                            self.oplog.record(record)
-            else:
-                with tracer.span("rpc.call", verb=verb, worker=self.label, pid=self.pid):
-                    with self._lock:
-                        result = self._exchange_locked(kind, payload, flags)
-                        if record is not None:
-                            self._digest.note(record)
-                            if self.oplog is not None:
-                                self.oplog.record(record)
+            with span, self._lock:
+                result = self._exchange_locked(kind, payload, flags)
+                if record is not None:
+                    self._digest.note(record)
             return result
         except WorkerCrashedError:
             outcome = "crash"
@@ -466,21 +455,6 @@ class WorkerClient:
         """The 64-bit stream digest of acknowledged worker mutations."""
         return self._digest.value
 
-    def checkpoint(self):
-        """Checkpoint the client-side oplog at the worker's epoch.
-
-        Holding the client mutex across the epoch fetch and the checkpoint
-        pins a mutation boundary: no mutation can interleave, so the
-        ``epoch = base_epoch + LSN`` invariant lands in the checkpoint
-        exactly as the in-process write-lock variant guarantees.
-        """
-        if self.oplog is None:
-            raise NotSupportedError(f"worker client {self.label!r} has no replication log")
-        with self._lock:
-            epoch = codec.decode_epoch(self._exchange_locked(wire.REQ_EPOCH, b"", 0))
-            self._last_epoch = epoch
-            return self.oplog.checkpoint(epoch)
-
     # -- introspection ---------------------------------------------------------------
 
     @property
@@ -512,23 +486,4 @@ class WorkerClient:
         return out
 
 
-def spawn_workers(
-    specs: Sequence[WorkerSpec],
-    *,
-    registry: Optional[MetricsRegistry] = None,
-    oplogs: Optional[Sequence[object]] = None,
-) -> Tuple[WorkerClient, ...]:
-    """Spawn one client per spec; tears every child down on partial failure."""
-    clients: List[WorkerClient] = []
-    try:
-        for i, spec in enumerate(specs):
-            oplog = oplogs[i] if oplogs is not None else None
-            clients.append(WorkerClient(spec, registry=registry, oplog=oplog))
-    except Exception:
-        for client in clients:
-            client.close()
-        raise
-    return tuple(clients)
-
-
-__all__ = ["WorkerClient", "spawn_workers", "START_TIMEOUT_S"]
+__all__ = ["WorkerClient", "START_TIMEOUT_S"]

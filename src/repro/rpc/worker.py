@@ -150,9 +150,9 @@ def _handle_ping(service: QueryService, payload: bytes) -> bytes:
 def _handle_restore(service: QueryService, payload: bytes) -> bytes:
     """Apply a shipped logical state exactly as materialize() would in-process.
 
-    Every mutation passes ``record=None``: a worker restored *from* the log
-    must never write the log (the oplog lives parent-side anyway, but the
-    invariant is worth stating where it is enforced).
+    Every mutation passes ``record=None``: a restore is not part of the
+    admitted stream, so it must not touch the stream digest (the parent
+    re-seeds it from the restored state).
     """
     objects, negatives, meta = codec.decode_restore(payload)
     index = service.index

@@ -30,7 +30,6 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
-from ..approx.builder import ApproxTier
 from ..core.errors import NotSupportedError, ServiceClosedError, ServiceOverloadedError
 from ..core.geometry import Box
 from ..obs import trace as _trace
@@ -111,21 +110,10 @@ class QueryService:
     workers:
         Size of the probe worker pool; 0 (default) resolves probes on the
         calling thread.
-    oplog:
-        An optional :class:`~repro.replog.ReplicationLog`.  When attached,
-        every admitted mutation appends one logical record *inside* the
-        write lock — immediately after the epoch bump — so the log's LSN
-        sequence is exactly the epoch sequence, which is the invariant
-        checkpoint/restore relies on (epoch = ``base_epoch + lsn``).
-    approx:
-        Opt-in bounded degradation.  Pass an
-        :class:`~repro.approx.ApproxPolicy` (a single-slot
-        :class:`~repro.approx.ApproxTier` is built over this index's
-        mutation stream) or a pre-built tier.  When the admission gate
-        would shed a query, the service answers from the synopsis as a
-        typed :class:`~repro.approx.ApproxResult` with certified bounds
-        instead of raising; exact answers are unchanged.  Default ``None``
-        — overload sheds exactly as before.
+
+    A service carries no replication log and no approximate tier: the log
+    lives on :class:`~repro.resilience.group.ReplicaGroup` and the tier on
+    :class:`~repro.shard.ShardedService`.
     """
 
     def __init__(
@@ -140,15 +128,12 @@ class QueryService:
         workers: int = 0,
         registry: Optional[MetricsRegistry] = None,
         label: Optional[str] = None,
-        oplog=None,
-        approx=None,
     ) -> None:
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
         self.index = index
-        self.oplog = oplog
         self.label = label if label is not None else getattr(index, "backend", "index")
         self._supports_probes = bool(getattr(index, "supports_probes", False))
         self._planner = BatchPlanner(index) if self._supports_probes else None
@@ -184,7 +169,6 @@ class QueryService:
             "result_cache_hits": 0.0,
             "result_cache_misses": 0.0,
             "backend_queries": 0.0,
-            "degraded": 0.0,
         }
         storage = getattr(index, "storage", None)
         if storage is not None:
@@ -197,17 +181,6 @@ class QueryService:
                 max_workers=workers, thread_name_prefix="repro-service"
             )
         registry = registry if registry is not None else get_registry()
-        if approx is not None and not isinstance(approx, ApproxTier):
-            # Accept a bare policy as shorthand for a fresh single-slot tier.
-            approx = ApproxTier(
-                index.dims,
-                1,
-                policy=approx,
-                measure=getattr(index, "measure", "sum"),
-                registry=registry,
-                label=f"{self.label}-approx",
-            )
-        self.approx = approx
         self._m_requests = registry.counter(
             "repro_service_requests", "requests admitted, by kind (single/batch)"
         )
@@ -254,62 +227,17 @@ class QueryService:
 
     # -- queries ---------------------------------------------------------------
 
-    def box_sum(self, query: Box):
-        """One cached, admission-controlled box-sum.
+    def box_sum(self, query: Box) -> float:
+        """One cached, admission-controlled box-sum."""
+        return self._serve([query], kind="single").results[0]
 
-        With an approximate tier attached, overload degrades to a typed
-        :class:`~repro.approx.ApproxResult` instead of shedding.
-        """
-        try:
-            return self._serve([query], kind="single").results[0]
-        except ServiceOverloadedError:
-            degraded = self._degraded([query])
-            if degraded is None:
-                raise
-            return degraded
-
-    def box_sum_batch(self, queries: Sequence[Box]):
+    def box_sum_batch(self, queries: Sequence[Box]) -> List[float]:
         """Answers for a batch, in request order (see :meth:`batch`)."""
-        try:
-            return self._serve(queries, kind="batch").results
-        except ServiceOverloadedError:
-            degraded = self._degraded(list(queries))
-            if degraded is None:
-                raise
-            return degraded
+        return self._serve(queries, kind="batch").results
 
-    def batch(self, queries: Sequence[Box]):
+    def batch(self, queries: Sequence[Box]) -> BatchResult:
         """A batch with its full accounting (epoch, dedup, cache hits)."""
-        try:
-            return self._serve(queries, kind="batch")
-        except ServiceOverloadedError:
-            degraded = self._degraded(list(queries))
-            if degraded is None:
-                raise
-            return degraded
-
-    def degraded_batch(self, queries: Sequence[Box], *, reason: str = "direct"):
-        """Answer straight from the approximate tier (bypasses admission).
-
-        Raises :class:`~repro.core.errors.NotSupportedError` when no tier
-        is attached or the tier refuses (desynced mirrors).
-        """
-        if self.approx is None:
-            raise NotSupportedError(f"service {self.label!r} has no approximate tier")
-        result = self.approx.answer(list(queries), reason=reason)
-        with self._stats_lock:
-            self._counts["degraded"] += 1
-        return result
-
-    def _degraded(self, queries: List[Box]):
-        """Overload fallback: a certified bounded answer, or None to re-raise."""
-        if self.approx is None:
-            return None
-        result = self.approx.try_answer(queries, reason="overload")
-        if result is not None:
-            with self._stats_lock:
-                self._counts["degraded"] += 1
-        return result
+        return self._serve(queries, kind="batch")
 
     def _serve(self, queries: Sequence[Box], kind: str) -> BatchResult:
         queries = list(queries)
@@ -503,8 +431,8 @@ class QueryService:
         """Write an opaque metadata blob exclusively; returns the new epoch.
 
         Applied to the index when it exposes a ``set_meta`` hook (the
-        durable pager does); always shipped to the replication log so a
-        replica fronting a durable backend replays it.
+        durable pager does); always recorded (digest, and the group's log)
+        so a replica fronting a durable backend replays it.
         """
         apply_meta = getattr(self.index, "set_meta", None)
         fn = (lambda: apply_meta(blob)) if apply_meta is not None else (lambda: None)
@@ -515,9 +443,8 @@ class QueryService:
 
         Use this for mutations the service has no verb for — e.g. a durable
         backend's ``set_meta`` — so cached results can never outlive them.
-        ``record`` is the logical operation shipped to the attached
-        replication log (if any); restores pass ``record=None`` so
-        replaying the log never re-logs it.
+        ``record`` is the logical operation folded into the stream digest;
+        restores pass ``record=None`` and re-seed it via :meth:`sync_digest`.
         """
         # Fail fast before queueing on the write lock: a post-close mutation
         # must not block behind a draining reader.  The re-check inside the
@@ -531,37 +458,16 @@ class QueryService:
             self._epoch += 1
             epoch = self._epoch
             if record is not None:
-                # Digest the admitted record whether or not this member
-                # carries the log itself: replicated members log at the
-                # group level, yet each must track its own applied stream
-                # for the divergence audit.  Un-recorded mutations
-                # (restores, out-of-band tampering) deliberately do not
-                # touch it — a restore re-seeds via sync_digest.
+                # The log lives on the group; each member still tracks its
+                # own applied stream for the divergence audit.  Unrecorded
+                # mutations (restores, out-of-band tampering) deliberately
+                # do not touch it — a restore re-seeds via sync_digest.
                 self._digest.note(record)
-            if self.oplog is not None and record is not None:
-                self.oplog.record(record)
-            if self.approx is not None:
-                # Unrecorded mutations (record=None, e.g. restores) desync
-                # the tier's mirror; it refuses to answer until reseeded.
-                self.approx.note_record(0, record)
         with self._stats_lock:
             self._counts["mutations"] += 1
             self._m_mutations.inc(op=op, label=self.label)
             self._m_epoch.set(epoch, label=self.label)
         return epoch
-
-    def checkpoint(self):
-        """Snapshot the attached replication log's state under the write lock.
-
-        Taking the write lock guarantees the checkpoint reflects a
-        mutation boundary — no half-applied batch, no record racing the
-        snapshot — and passing the live epoch pins the ``epoch =
-        base_epoch + lsn`` invariant into the checkpoint file.
-        """
-        if self.oplog is None:
-            raise NotSupportedError(f"service {self.label!r} has no replication log attached")
-        with self._rwlock.write():
-            return self.oplog.checkpoint(self._epoch)
 
     def sync_epoch(self, epoch: int) -> None:
         """Align this service's epoch after a log-driven restore.
@@ -574,8 +480,6 @@ class QueryService:
             self._epoch = epoch
             self._results.clear()
             self._probes.clear()
-            if self.approx is not None:
-                self.approx.desync()
         with self._stats_lock:
             self._m_epoch.set(epoch, label=self.label)
 

@@ -128,12 +128,15 @@ class ShardedService:
         cannot cross the process boundary — use the declarative
         backend/kwargs form).
     replicas:
-        Synchronous replicas per shard beyond the primary.  Any non-zero
-        value (or a ``resilience`` config, or a ``service_wrapper``) turns
-        each shard into a :class:`~repro.resilience.group.ReplicaGroup`:
-        mutations fan out to every member, queries fail over between them
-        behind per-member circuit breakers — and stay bit-identical, since
-        every member answers exactly.
+        Synchronous replicas per shard beyond the primary.  A shard is a
+        :class:`~repro.resilience.group.ReplicaGroup` whenever it needs
+        per-shard state beyond the service: replicas, a ``resilience``
+        policy, a ``service_wrapper``, a ``replog_dir`` or a ``heal``
+        policy.  Mutations fan out to every member, queries fail over
+        between them behind per-member circuit breakers — and stay
+        bit-identical, since every member answers exactly.  Without any
+        of these the shards stay plain services (no extra layers, no
+        threads).
     resilience:
         The failover policy (:class:`~repro.resilience.config.ResilienceConfig`):
         retry budget, per-attempt deadline, backoff, hedged reads, and
@@ -146,13 +149,12 @@ class ShardedService:
         (:func:`~repro.resilience.chaos.chaos_member_wrapper`), also usable
         for bespoke instrumentation.
     replog_dir:
-        When set, every shard ships its admitted mutations to a
+        When set, every shard's group ships its admitted mutations to a
         :class:`~repro.replog.ReplicationLog` under
-        ``<replog_dir>/shard-<sid>``.  Replicated shards log at the group
-        level (one record per admitted group mutation); unreplicated
-        shards attach the log to the shard service itself.  Enables
-        :meth:`checkpoint`, :meth:`add_replica`, :meth:`catch_up` /
-        :meth:`catch_up_all` and per-shard point-in-time recovery.
+        ``<replog_dir>/shard-<sid>`` (one record per admitted group
+        mutation).  Enables :meth:`checkpoint`, :meth:`add_replica`,
+        :meth:`catch_up` / :meth:`catch_up_all`, :meth:`restart_worker`
+        and per-shard point-in-time recovery.
         Members built here are *not* run through ``service_wrapper`` when
         seeded later — a freshly restored member starts clean.
     replog_options:
@@ -227,14 +229,18 @@ class ShardedService:
         shard_kwargs = dict(shard_kwargs or {})
         shard_kwargs.setdefault("max_inflight", max_inflight)
         shard_kwargs.setdefault("max_queue", max_queue)
-        # Replication, an explicit failover policy or a member wrapper all
-        # switch the shards to replica groups; otherwise the plain
-        # single-service path is untouched (no extra layers, no threads).
-        self._resilient = bool(replicas or resilience is not None or service_wrapper is not None)
+        # Anything that needs per-shard state beyond the service makes the
+        # shards replica groups; otherwise the plain single-service path
+        # is untouched (no extra layers, no threads).
+        grouped = bool(
+            replicas
+            or resilience is not None
+            or service_wrapper is not None
+            or replog_dir is not None
+            or heal
+        )
         self.resilience = (
-            (resilience if resilience is not None else ResilienceConfig())
-            if self._resilient
-            else None
+            (resilience if resilience is not None else ResilienceConfig()) if grouped else None
         )
         if degrade not in ("off", "bounded"):
             raise ValueError(f'degrade must be "off" or "bounded", got {degrade!r}')
@@ -276,7 +282,6 @@ class ShardedService:
                 return index_factory(sid, member)
             return index_factory(sid)
 
-        self._replogs: List[Optional[ReplicationLog]] = []
         replog_options = dict(replog_options or {})
 
         def build_replog(sid: int) -> Optional[ReplicationLog]:
@@ -295,7 +300,7 @@ class ShardedService:
             from ..rpc.client import WorkerClient
             from ..rpc.worker import make_spec
 
-            def build_member(sid: int, member: int, suffix: str, oplog):
+            def build_member(sid: int, member: int, suffix: str):
                 spec = make_spec(
                     dims,
                     backend=backend,
@@ -305,16 +310,15 @@ class ShardedService:
                     service_kwargs=shard_kwargs,
                     label=f"{label}/{suffix}",
                 )
-                return WorkerClient(spec, registry=registry, oplog=oplog)
+                return WorkerClient(spec, registry=registry)
 
         else:
 
-            def build_member(sid: int, member: int, suffix: str, oplog):
+            def build_member(sid: int, member: int, suffix: str):
                 return QueryService(
                     build_index(sid, member),
                     registry=registry,
                     label=f"{label}/{suffix}",
-                    oplog=oplog,
                     **shard_kwargs,
                 )
 
@@ -325,38 +329,32 @@ class ShardedService:
         #: each member separately, so late members need fresh ids)
         self._member_ids = itertools.count(1000)
         for sid in range(num_shards):
-            replog = build_replog(sid)
-            self._replogs.append(replog)
             members: List[QueryService] = []
             for member in range(1 + replicas):
                 suffix = f"s{sid}" if member == 0 else f"s{sid}r{member}"
-                # Replicated shards log at the group level; attaching the
-                # log to members too would double-ship every record.
-                service = build_member(
-                    sid, member, suffix, replog if not self._resilient else None
-                )
+                service = build_member(sid, member, suffix)
                 if service_wrapper is not None:
                     service = service_wrapper(service, sid, member)
                 members.append(service)
-            if self._resilient:
-
-                def make_member(sid=sid) -> QueryService:
-                    member = next(self._member_ids)
-                    return build_member(sid, member, f"s{sid}m{member}", None)
-
-                group = ReplicaGroup(
-                    sid,
-                    members,
-                    config=self.resilience,
-                    registry=registry,
-                    label=label,
-                    replication_log=replog,
-                    member_factory=make_member,
-                )
-                self._groups.append(group)
-                self._shards.append(group)
-            else:
+            if not grouped:
                 self._shards.append(members[0])
+                continue
+
+            def make_member(sid=sid) -> QueryService:
+                member = next(self._member_ids)
+                return build_member(sid, member, f"s{sid}m{member}")
+
+            group = ReplicaGroup(
+                sid,
+                members,
+                config=self.resilience,
+                registry=registry,
+                label=label,
+                replication_log=build_replog(sid),
+                member_factory=make_member,
+            )
+            self._groups.append(group)
+            self._shards.append(group)
         self._executor = None
         if workers is None:
             workers = min(num_shards, 8) if num_shards > 1 else 0
@@ -461,7 +459,7 @@ class ShardedService:
     def services(self) -> Tuple[QueryService, ...]:
         """The shard-local services, in shard-id order (read-only use).
 
-        In a replicated cluster these are the *primaries*; use
+        When the shards are replica groups these are the *primaries*; use
         :attr:`groups` for the full replica topology.
         """
         if self._groups:
@@ -470,7 +468,7 @@ class ShardedService:
 
     @property
     def groups(self) -> Tuple[ReplicaGroup, ...]:
-        """The replica groups (empty tuple when the cluster is unreplicated)."""
+        """The replica groups (empty tuple when the shards are plain services)."""
         return tuple(self._groups)
 
     @property
@@ -609,7 +607,7 @@ class ShardedService:
         for tests; serving's own overload/outage fallbacks use the same
         tier.  Raises :class:`~repro.core.errors.NotSupportedError` when
         the cluster was built without ``degrade="bounded"`` or the tier
-        refuses (desynced mirrors).
+        refuses (stale beyond an ``auto_refresh=False`` policy).
         """
         if self._approx is None:
             raise NotSupportedError(
@@ -670,10 +668,16 @@ class ShardedService:
                 # concurrent scatter can only overcover (safe), never
                 # undercover (which would wrongly prune a live object).
                 self._grow_extent(sid, box)
-                owners = self._ledger.setdefault(key, {})
-                owners[sid] = owners.get(sid, 0) + 1
-                self._object_counts[sid] += 1
-            self._shards[sid].insert(box, value)
+                self._own(key, sid, 1)
+            try:
+                self._shards[sid].insert(box, value)
+            except Exception:
+                # The shard never applied it: no ghost may stay in the
+                # ledger for a later rebalance to migrate.  The extent
+                # keeps its growth — overcoverage is safe.
+                with self._meta:
+                    self._own(key, sid, -1)
+                raise
             if self._approx is not None:
                 self._approx.note_insert(sid, box, value)
         self._note_mutation("insert", sid)
@@ -692,20 +696,18 @@ class ShardedService:
             key = self._ledger_key(box, value)
             with self._meta:
                 owners = self._ledger.get(key)
-                if owners:
-                    sid = min(owners)
-                    owners[sid] -= 1
-                    if owners[sid] == 0:
-                        del owners[sid]
-                    if not owners:
-                        del self._ledger[key]
-                else:
-                    sid = self._map.assign(box)
+                owned = bool(owners)
+                sid = min(owners) if owned else self._map.assign(box)
                 # The negation corners land on this shard, so its extent
                 # must cover them too.
                 self._grow_extent(sid, box)
-                self._object_counts[sid] -= 1
-            self._shards[sid].delete(box, value)
+                self._own(key, sid, -1, ledger=owned)
+            try:
+                self._shards[sid].delete(box, value)
+            except Exception:
+                with self._meta:
+                    self._own(key, sid, 1, ledger=owned)
+                raise
             if self._approx is not None:
                 self._approx.note_delete(sid, box, value)
         self._note_mutation("delete", sid)
@@ -828,13 +830,8 @@ class ShardedService:
                 self._shards[target].insert(box, value)
                 if self._approx is not None:
                     self._approx.note_migrate(source, target, box, value)
-            owners = self._ledger[key]
-            owners[source] -= count
-            if owners[source] == 0:
-                del owners[source]
-            owners[target] = owners.get(target, 0) + count
-            self._object_counts[source] -= count
-            self._object_counts[target] += count
+            self._own(key, source, -count)
+            self._own(key, target, count)
             moved += count
         return moved
 
@@ -843,32 +840,31 @@ class ShardedService:
     @property
     def replication_logs(self) -> Tuple[Optional[ReplicationLog], ...]:
         """Per-shard replication logs (all None without ``replog_dir``)."""
-        return tuple(self._replogs)
+        if not self._groups:
+            return (None,) * self.num_shards
+        return tuple(group.replication_log for group in self._groups)
 
-    def _require_replog(self, sid: int) -> ReplicationLog:
+    def _logged_group(self, sid: int) -> ReplicaGroup:
+        """Shard ``sid``'s group, which must carry a replication log."""
         if not 0 <= sid < self.num_shards:
             raise ValueError(f"unknown shard {sid}")
-        replog = self._replogs[sid]
-        if replog is None:
+        if self.replication_logs[sid] is None:
             raise NotSupportedError(
                 f"cluster {self.label!r} was built without replog_dir; "
                 "log-shipping verbs are unavailable"
             )
-        return replog
+        return self._groups[sid]
 
     def checkpoint(self) -> List[object]:
         """Checkpoint every shard's replication log at a mutation boundary.
 
         Runs under the cluster read lock (rebalances excluded); each
-        shard's own mutation serialization makes its snapshot consistent.
-        Returns the per-shard :class:`~repro.replog.Checkpoint` list.
+        group's mutation mutex makes its snapshot consistent.  Returns the
+        per-shard :class:`~repro.replog.Checkpoint` list.
         """
-        self._require_replog(0)
-        checkpoints = []
+        self._logged_group(0)
         with self._cluster_lock.read():
-            for shard in self._shards:
-                checkpoints.append(shard.checkpoint())
-        return checkpoints
+            return [group.checkpoint() for group in self._groups]
 
     def add_replica(self, sid: int) -> int:
         """Seed one new member for shard ``sid`` from checkpoint + log tail.
@@ -877,36 +873,26 @@ class ShardedService:
         group's head LSN and only then enters the serve rotation.  Returns
         the new member id within the group.
         """
-        self._require_replog(sid)
-        if not self._groups:
-            raise NotSupportedError(
-                f"cluster {self.label!r} is unreplicated; "
-                "build it with replicas/resilience to host replica groups"
-            )
+        group = self._logged_group(sid)
         with self._cluster_lock.read():
-            return self._groups[sid].add_member()
+            return group.add_member()
 
     def catch_up(self, sid: int, mid: int, *, audit_probes: int = 16):
         """Restore shard ``sid``'s poisoned member ``mid`` from its log."""
-        self._require_replog(sid)
-        if not self._groups:
-            raise NotSupportedError(f"cluster {self.label!r} is unreplicated")
+        group = self._logged_group(sid)
         with self._cluster_lock.read():
-            return self._groups[sid].catch_up(mid, audit_probes=audit_probes)
+            return group.catch_up(mid, audit_probes=audit_probes)
 
     def catch_up_all(self, *, audit_probes: int = 16) -> Dict[int, List[int]]:
         """Catch up every poisoned member, cluster-wide.
 
         Returns ``{shard_id: [revived member ids]}`` for shards where
-        anything changed.  This is the callable to hand a
-        :class:`~repro.replog.CatchUpDaemon`.
+        anything changed.
         """
-        if not self._groups:
-            return {}
         revived: Dict[int, List[int]] = {}
         with self._cluster_lock.read():
             for sid, group in enumerate(self._groups):
-                if self._replogs[sid] is None:
+                if group.replication_log is None:
                     continue
                 members = group.catch_up_all(audit_probes=audit_probes)
                 if members:
@@ -918,46 +904,35 @@ class ShardedService:
 
         The public remedy for
         :class:`~repro.core.errors.WorkerCrashedError` ("restart() +
-        catch_up to revive").  In a replicated cluster every crashed
-        member routes through
+        catch_up to revive").  Every crashed member routes through
         :meth:`~repro.resilience.group.ReplicaGroup.repair`: the dead
         member is poisoned (if a mutation has not already witnessed the
         death), respawned, restored from checkpoint + log tail and
-        bit-exactness-audited before re-entering the rotation.  An
-        unreplicated shard restarts its worker and restores it from the
-        shard's log directly.  Either way a replication log is required —
-        a respawned worker is empty, and without the log there is nothing
-        to restore it *from* — so clusters built without ``replog_dir``
-        raise :class:`~repro.core.errors.NotSupportedError` before any
-        worker is touched.  Returns the member ids actually repaired
-        (empty when nothing was dead — an idempotent no-op).
+        bit-exactness-audited before re-entering the rotation.  A
+        replication log is required — a respawned worker is empty, and
+        without the log there is nothing to restore it *from* — so
+        clusters built without ``replog_dir`` raise
+        :class:`~repro.core.errors.NotSupportedError` before any worker is
+        touched, as do shards with no restartable member.  Returns the
+        member ids actually repaired (empty when nothing was dead — an
+        idempotent no-op).
         """
-        replog = self._require_replog(sid)
+        group = self._logged_group(sid)
+        if not any(hasattr(member, "restart") for member in group.members):
+            raise NotSupportedError(
+                f"shard {sid} is served in-process; there is no worker "
+                "to restart (build the cluster with workers='process')"
+            )
+        repaired: List[int] = []
+        pid: Optional[int] = None
         with self._cluster_lock.read():
-            if self._groups:
-                group = self._groups[sid]
-                repaired: List[int] = []
-                pid: Optional[int] = None
-                for mid in range(len(group.members)):
-                    member = group.members[mid]
-                    if not getattr(member, "crashed", False):
-                        continue
-                    group.repair(mid, audit_probes=16)
-                    repaired.append(mid)
-                    pid = getattr(member, "pid", pid)
-                return WorkerRestartReport(sid, tuple(repaired), pid)
-            shard = self._shards[sid]
-            restart = getattr(shard, "restart", None)
-            if restart is None:
-                raise NotSupportedError(
-                    f"shard {sid} is served in-process; there is no worker "
-                    "to restart (build the cluster with workers='process')"
-                )
-            if not getattr(shard, "crashed", False):
-                return WorkerRestartReport(sid, (), getattr(shard, "pid", None))
-            restart()
-            replog.restore_into(shard)
-            return WorkerRestartReport(sid, (0,), getattr(shard, "pid", None))
+            for mid, member in enumerate(group.members):
+                if not getattr(member, "crashed", False):
+                    continue
+                group.repair(mid, audit_probes=16)
+                repaired.append(mid)
+                pid = getattr(member, "pid", pid)
+        return WorkerRestartReport(sid, tuple(repaired), pid)
 
     def recover_shard_to(self, sid: int, lsn: int) -> QueryService:
         """Point-in-time recovery: shard ``sid`` as of record ``lsn``.
@@ -966,15 +941,30 @@ class ShardedService:
         replays checkpoint + tail into it — an offline forensic replica;
         the live shard is untouched.
         """
-        replog = self._require_replog(sid)
+        group = self._logged_group(sid)
         member = next(self._member_ids)
-        return replog.recover_to(lsn, lambda: self._build_index(sid, member))
+        return group.recover_to(lsn, lambda: self._build_index(sid, member))
 
     # -- internals -----------------------------------------------------------------
 
     @staticmethod
     def _ledger_key(box: Box, value: float) -> _LedgerKey:
         return (box.low, box.high, float(value))
+
+    def _own(self, key: _LedgerKey, sid: int, count: int, *, ledger: bool = True) -> None:
+        """Shift ``count`` instances of ``key`` onto shard ``sid`` (under ``_meta``).
+
+        ``ledger=False`` moves only the object count: a delete of an object
+        the cluster never saw has no ledger entry to take from.
+        """
+        if ledger:
+            owners = self._ledger.setdefault(key, {})
+            owners[sid] = owners.get(sid, 0) + count
+            if owners[sid] == 0:
+                del owners[sid]
+            if not owners:
+                del self._ledger[key]
+        self._object_counts[sid] += count
 
     def _grow_extent(self, sid: int, box: Box) -> None:
         current = self._extents[sid]
@@ -1019,11 +1009,9 @@ class ShardedService:
         out["degrade"] = self.degrade
         if self._approx is not None:
             out["approx"] = self._approx.stats()
-        if any(replog is not None for replog in self._replogs):
-            out["head_lsns"] = [
-                replog.head_lsn if replog is not None else None
-                for replog in self._replogs
-            ]
+        logs = self.replication_logs
+        if any(log is not None for log in logs):
+            out["head_lsns"] = [log.head_lsn if log is not None else None for log in logs]
         if self._heal is not None:
             out["heal"] = self._heal.stats()
         return out
@@ -1033,7 +1021,7 @@ class ShardedService:
         return [service.stats() for service in self._shards]
 
     def resilience_stats(self) -> List[Dict[str, object]]:
-        """Per-group failover/breaker snapshots (empty when unreplicated)."""
+        """Per-group failover/breaker snapshots (empty without groups)."""
         return [group.stats() for group in self._groups]
 
     def close(self) -> None:
@@ -1055,9 +1043,9 @@ class ShardedService:
             self._executor.shutdown(wait=True)
         for service in self._shards:
             service.close()
-        for replog in self._replogs:
-            if replog is not None:
-                replog.close()
+        for log in self.replication_logs:
+            if log is not None:
+                log.close()
 
     @property
     def closed(self) -> bool:

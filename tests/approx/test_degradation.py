@@ -1,4 +1,4 @@
-"""Degradation wiring: overload, outage, staleness, desync and default-off."""
+"""Degradation wiring: overload, outage, staleness and default-off."""
 
 from __future__ import annotations
 
@@ -148,29 +148,7 @@ class TestClusterDegradation:
 
 
 class TestServiceDegradation:
-    def test_gate_occupied_degrades_single_query(self):
-        rng = random.Random("svc")
-        index = BoxSumIndex(2, backend="ba")
-        svc = QueryService(
-            index,
-            max_inflight=1,
-            max_queue=0,
-            approx=ApproxPolicy(),
-            registry=MetricsRegistry(),
-        )
-        with svc:
-            objects = _objects(rng, 50)
-            svc.bulk_load(objects)
-            exact = svc.box_sum(Box((0.0, 0.0), (100.0, 100.0)))
-            svc._gate.admit()
-            try:
-                degraded = svc.box_sum(Box((0.0, 0.0), (100.0, 100.0)))
-            finally:
-                svc._gate.release()
-            assert isinstance(degraded, ApproxResult)
-            assert degraded.reason == "overload"
-            assert degraded.results[0].contains(exact)
-            assert svc.stats()["degraded"] == 1.0
+    """A bare service carries no tier: overload sheds, loudly."""
 
     def test_no_tier_sheds_as_before(self):
         index = BoxSumIndex(2, backend="ba")
@@ -182,27 +160,3 @@ class TestServiceDegradation:
                     svc.box_sum(Box((0.0, 0.0), (1.0, 1.0)))
             finally:
                 svc._gate.release()
-            with pytest.raises(NotSupportedError):
-                svc.degraded_batch([Box((0.0, 0.0), (1.0, 1.0))])
-
-    def test_unrecorded_mutation_desyncs_tier(self):
-        index = BoxSumIndex(2, backend="ba")
-        svc = QueryService(index, approx=ApproxPolicy(), registry=MetricsRegistry())
-        with svc:
-            svc.bulk_load([(Box((0.0, 0.0), (1.0, 1.0)), 2.0)])
-            assert svc.degraded_batch([Box((0.0, 0.0), (5.0, 5.0))]) is not None
-            svc.mutate(lambda: None, op="restore", record=None)
-            assert svc.approx.desynced
-            with pytest.raises(NotSupportedError):
-                svc.degraded_batch([Box((0.0, 0.0), (5.0, 5.0))])
-            # A fresh bulk load reseeds the mirror and clears the desync.
-            svc.bulk_load([(Box((0.0, 0.0), (1.0, 1.0)), 2.0)])
-            result = svc.degraded_batch([Box((0.0, 0.0), (5.0, 5.0))])
-            assert result.results[0].contains(2.0)
-
-    def test_sync_epoch_desyncs_tier(self):
-        index = BoxSumIndex(2, backend="ba")
-        svc = QueryService(index, approx=ApproxPolicy(), registry=MetricsRegistry())
-        with svc:
-            svc.sync_epoch(17)
-            assert svc.approx.desynced

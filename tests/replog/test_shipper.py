@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import random
-import threading
-import time
 
 import pytest
 
@@ -14,7 +12,6 @@ from repro.core.geometry import Box
 from repro.core.naive import NaiveBoxSum
 from repro.obs import MetricsRegistry
 from repro.replog import (
-    CatchUpDaemon,
     DeleteOp,
     InsertOp,
     LogicalState,
@@ -22,6 +19,7 @@ from repro.replog import (
     RestoreReport,
     SetMetaOp,
 )
+from repro.resilience import ReplicaGroup
 from repro.service import QueryService
 
 from ..conftest import random_box
@@ -201,7 +199,13 @@ class TestServiceAttachedLog:
     def test_service_mutations_ship_and_checkpoint(self, tmp_path):
         rng = random.Random(0xA11)
         with make_replog(tmp_path) as rl:
-            service = QueryService(BoxSumIndex(2), registry=MetricsRegistry(), oplog=rl)
+            # A one-member group is the log's only writer.
+            service = ReplicaGroup(
+                0,
+                [QueryService(BoxSumIndex(2), registry=MetricsRegistry())],
+                registry=MetricsRegistry(),
+                replication_log=rl,
+            )
             for _ in range(12):
                 service.insert(random_box(rng, 2), float(rng.randint(1, 9)))
             service.set_meta("k", b"v")
@@ -217,37 +221,3 @@ class TestServiceAttachedLog:
             assert clone.epoch == service.epoch
             service.close()
             clone.close()
-
-
-class TestCatchUpDaemon:
-    def test_daemon_ticks_and_counts_errors(self):
-        calls = []
-        fired = threading.Event()
-
-        def fn():
-            calls.append(1)
-            fired.set()
-            if len(calls) == 1:
-                raise RuntimeError("first tick fails")
-
-        daemon = CatchUpDaemon(fn, interval=0.005, registry=MetricsRegistry())
-        with daemon:
-            assert fired.wait(2.0)
-            deadline = time.monotonic() + 5.0
-            while len(calls) < 3 and time.monotonic() < deadline:
-                time.sleep(0.005)  # a failed tick never kills the loop
-        assert daemon.errors >= 1
-        assert daemon.ticks >= 3
-
-    def test_daemon_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            CatchUpDaemon(lambda: None, interval=0.0)
-
-    def test_daemon_cannot_start_twice(self):
-        daemon = CatchUpDaemon(lambda: None, interval=5.0, registry=MetricsRegistry())
-        daemon.start()
-        try:
-            with pytest.raises(RuntimeError):
-                daemon.start()
-        finally:
-            daemon.stop()

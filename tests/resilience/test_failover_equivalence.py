@@ -157,31 +157,3 @@ class TestReplicatedClusterPlumbing:
                 cluster.insert(box, value)
             queries = [random_box(rng, 2, max_side=60.0) for _ in range(15)]
             assert cluster.box_sum_batch(queries) == [reference.box_sum(q) for q in queries]
-
-    def test_failover_router_reads_policy_from_config(self):
-        from repro.resilience import FailoverRouter
-
-        rng = random.Random(0xF0)
-        objects = _exact_objects(rng, 40, 2)
-        with ShardedService(
-            2,
-            2,
-            partitioner="kd",
-            workers=0,
-            replicas=1,
-            registry=MetricsRegistry(),
-            resilience=ResilienceConfig(partial_results=True),
-        ) as cluster:
-            cluster.bulk_load(objects)
-            router = FailoverRouter(
-                cluster.groups,
-                config=cluster.resilience,
-                registry=MetricsRegistry(),
-            )
-            assert router.allow_partial
-            assert router.groups == list(cluster.groups)
-            reference = BoxSumIndex(2, backend="ba")
-            reference.bulk_load(objects)
-            queries = [random_box(rng, 2, max_side=60.0) for _ in range(6)]
-            got = router.scatter(queries, cluster.extents())
-            assert got.results == [reference.box_sum(q) for q in queries]

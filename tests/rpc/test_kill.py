@@ -6,7 +6,8 @@ worker process surfaces as :class:`WorkerCrashedError` from an ordinary
 method call, the replica group fails reads over to the surviving member,
 a mutation on the dead member poisons it, and ``catch_up`` restarts the
 process and replays the replication log into it, after which the group
-audits and revives it.  Exactness is asserted with ``==`` throughout.
+audits and revives it.  Exactness is asserted with ``==`` throughout.  A cluster with a log but no
+replicas runs the same chain through one-member groups.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ import time
 import pytest
 
 from repro.core.aggregator import BoxSumIndex
-from repro.core.errors import WorkerCrashedError
+from repro.core.errors import ShardUnavailableError, WorkerCrashedError
 from repro.core.geometry import Box
+from repro.core.naive import NaiveBoxSum
+from repro.heal import HealPolicy
 from repro.obs import MetricsRegistry
 from repro.resilience import ResilienceConfig
 from repro.rpc import WorkerClient, make_spec
@@ -163,3 +166,99 @@ class TestReplicatedFailoverAndRevival:
                 assert cluster.box_sum_batch(queries) == [
                     reference.box_sum(q) for q in queries
                 ]
+
+
+class TestLogOnlyWorkers:
+    """``replog_dir`` without replicas: one-member groups own log and repair."""
+
+    def _cluster(self, tmp_path, **kwargs) -> ShardedService:
+        return ShardedService(
+            2,
+            2,
+            partitioner="kd",
+            workers="process",
+            replog_dir=str(tmp_path),
+            registry=MetricsRegistry(),
+            label="log-only",
+            **kwargs,
+        )
+
+    def _load(self, cluster, rng):
+        """Bulk load + tail mutations; returns (queries, exact answers)."""
+        oracle = NaiveBoxSum(2)
+        objects = _exact_objects(rng, 60)
+        cluster.bulk_load(objects)
+        for box, value in objects:
+            oracle.insert(box, value)
+        for box, value in _exact_objects(rng, 12):
+            cluster.insert(box, value)
+            oracle.insert(box, value)
+        for box, value in objects[:5]:
+            cluster.delete(box, value)
+            oracle.insert(box, -value)
+        queries = [random_box(rng, 2, max_side=60.0) for _ in range(12)]
+        return queries, [oracle.box_sum(q) for q in queries]
+
+    def test_restart_worker_repairs_through_the_group(self, tmp_path):
+        rng = random.Random(0x10C)
+        with self._cluster(tmp_path) as cluster:
+            queries, want = self._load(cluster, rng)
+            before = cluster.box_sum_batch(queries)
+            assert before == want
+            group = cluster.groups[0]
+            victim = group.members[0]
+            old_pid = victim.pid
+            _sigkill(old_pid)
+            with pytest.raises(WorkerCrashedError):
+                victim.ping()
+            report = cluster.restart_worker(0)
+            assert report.members == (0,)
+            assert report.pid == victim.pid != old_pid
+            assert not victim.crashed and not group.is_poisoned(0)
+            assert cluster.box_sum_batch(queries) == before
+            assert cluster.restart_worker(0).members == ()  # nothing dead: no-op
+
+    def test_heal_tick_restores_a_killed_worker(self, tmp_path):
+        rng = random.Random(0x7E4)
+        policy = HealPolicy(auto_start=False, backoff_base_s=0.0, audit_probes=4)
+        with self._cluster(tmp_path, heal=policy) as cluster:
+            queries, want = self._load(cluster, rng)
+            before = cluster.box_sum_batch(queries)
+            assert before == want
+            group = cluster.groups[0]
+            _sigkill(group.members[0].pid)
+            # A mutation on the dead member fails loudly and poisons it; the
+            # cluster's ownership ledger does not keep the refused object.
+            counts = cluster.object_counts()
+            box = random_box(rng, 2)
+            while cluster.shard_map.assign(box) != 0:
+                box = random_box(rng, 2)
+            with pytest.raises(ShardUnavailableError) as info:
+                cluster.insert(box, 1.0)
+            assert isinstance(info.value.__cause__, WorkerCrashedError)
+            assert group.is_poisoned(0)
+            assert cluster.object_counts() == counts
+            events = cluster.heal_supervisor.tick()
+            assert [(e.kind, e.shard, e.member) for e in events] == [("repaired", 0, 0)]
+            assert cluster.heal_supervisor.fully_healthy
+            assert cluster.box_sum_batch(queries) == before
+
+    @pytest.mark.parametrize("workers", [0, "process"])
+    def test_log_only_cluster_digests_match_the_log(self, tmp_path, workers):
+        rng = random.Random(0xD16)
+        with ShardedService(
+            2,
+            2,
+            partitioner="kd",
+            workers=workers,
+            replog_dir=str(tmp_path),
+            registry=MetricsRegistry(),
+        ) as cluster:
+            self._load(cluster, rng)
+            assert len(cluster.groups) == 2
+            for group, log in zip(cluster.groups, cluster.replication_logs):
+                assert group.num_members == 1
+                assert group.replication_log is log
+                assert log.head_lsn > 0
+                assert group.member_digests() == [log.digest]
+                assert group.audit_digests() == []
