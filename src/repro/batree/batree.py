@@ -45,18 +45,23 @@ A 1-dimensional BA-tree "is basically a B+-tree" and delegates to
 from __future__ import annotations
 
 import math
+import sys
+from operator import le, lt
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..borders import Border
 from ..bptree import AggBPlusTree
 from ..core.errors import DimensionMismatchError, TreeInvariantError
-from ..core.geometry import Box, Coords, as_coords
+from ..core.geometry import Box, Coords, as_coords, dominated_sum
 from ..core.values import Value, values_equal
 from ..obs import trace as _trace
 from ..kdb.split import choose_index_split_plane, choose_leaf_split_plane
 from ..storage import StorageContext
 
 _Entry = Tuple[Coords, Value]
+
+_INF = math.inf
+_FLOAT_MAX = sys.float_info.max
 
 #: Classification results of a point against an index record.
 _INSIDE, _SKIP, _SUBTOTAL = "inside", "skip", "subtotal"
@@ -242,26 +247,17 @@ class BATree:
     def _dominance_sum(self, coords: Coords, tracer) -> Value:
         result = self.zero
         record = self._root
+        projections = [_drop(coords, j) for j in range(self.dims)]
         while True:
             page = self._fetch(record.child)
             if tracer is not None:
                 tracer.event("node", pid=record.child, leaf=page.is_leaf)
             if page.is_leaf:
-                for stored, value in page.entries:
-                    if all(s < c for s, c in zip(stored, coords)):
-                        result = result + value
-                return result
-            nxt = None
-            for r in page.records:
-                if r.box.contains_point(coords):
-                    nxt = r
-                    break
-            if nxt is None:  # pragma: no cover - boxes partition the space
-                raise TreeInvariantError(f"no record contains {coords}")
-            result = result + nxt.subtotal
-            for j in range(self.dims):
-                result = result + nxt.borders[j].dominance_sum(_drop(coords, j))
-            record = nxt
+                return dominated_sum(page.entries, coords, result)
+            record = _locate(page.records, coords)
+            result = result + record.subtotal
+            for border, projected in zip(record.borders, projections):
+                result = result + border.dominance_sum(projected)
 
     def total(self) -> Value:
         """Sum of every stored value."""
@@ -705,6 +701,33 @@ def _classify_page_vectorized(tree: "BATree", parts, records) -> Optional[bool]:
             items = [(tuple(row), float(v)) for row, v in zip(projected.tolist(), values[select])]
             record.borders[j].bulk_load(items)
     return True
+
+
+def _locate(records: List[_BARecord], coords: Coords) -> _BARecord:
+    """The record whose half-open box ``[low, high)`` holds ``coords``.
+
+    A ``+inf`` coordinate lies in no half-open box, so it is routed as
+    ``sys.float_info.max``: that lands in the sibling whose high edge is
+    ``+inf``, exactly as the point's true value would under closed high
+    edges.  Only routing changes; leaf and border scans see the true point.
+    """
+    if len(coords) == 2:
+        x, y = coords
+        if x == _INF:
+            x = _FLOAT_MAX
+        if y == _INF:
+            y = _FLOAT_MAX
+        for record in records:
+            low, high = record.box.low, record.box.high
+            if low[0] <= x < high[0] and low[1] <= y < high[1]:
+                return record
+    else:
+        routed = [_FLOAT_MAX if c == _INF else c for c in coords]
+        for record in records:
+            box = record.box
+            if all(map(le, box.low, routed)) and all(map(lt, routed, box.high)):
+                return record
+    raise TreeInvariantError(f"no record contains {coords}")  # pragma: no cover - NaN only
 
 
 def _drop(coords: Coords, j: int) -> Coords:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .core.errors import DimensionMismatchError
-from .core.geometry import Coords, as_coords
+from .core.geometry import Coords, as_coords, dominated_sum
 from .core.values import Value
 from .storage import StorageContext
 from .storage.slab import SlabHandle
@@ -156,11 +156,7 @@ class Border:
             return self._tree.dominance_sum(coords)  # type: ignore[attr-defined]
         if self._handle is not None:
             self.storage.slab.access(self._handle)
-        result = self.zero
-        for stored, value in self._entries:
-            if all(s < c for s, c in zip(stored, coords)):
-                result = result + value
-        return result
+        return dominated_sum(self._entries, coords, self.zero)
 
     def collect(self) -> Iterable[_Entry]:
         """Yield every stored entry (used when the owner rebuilds borders)."""

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterable, Iterator, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InvalidBoxError
+from .values import Value
 
 #: A point is a tuple of per-dimension coordinates.
 Coords = Tuple[float, ...]
@@ -54,6 +56,35 @@ def strictly_dominates(x: Sequence[float], y: Sequence[float]) -> bool:
     """
     check_same_dims(x, y)
     return all(yi < xi for xi, yi in zip(x, y))
+
+
+def dominated_sum(entries: Iterable[Tuple[Coords, Value]], point: Coords, result: Value) -> Value:
+    """Add to ``result``, in entry order, each value whose coordinates ``point`` strictly dominates.
+
+    The one page scan of every dominance-sum structure (leaves, border
+    arrays, insert buffers).  Stored coordinates must have ``point``'s
+    arity.  Values are folded with plain ``+`` one at a time, so the answer
+    is bit-identical to any other left-to-right scan of the same entries:
+    builtin ``sum()`` compensates float sums from Python 3.12 and numpy
+    reduces pairwise, and either would change the last bits.  Arities 1
+    and 2 are unrolled because most BA-tree scans have them (2-d leaves,
+    1-d border arrays).
+    """
+    if len(point) == 2:
+        x, y = point
+        for (a, b), value in entries:
+            if a < x and b < y:
+                result = result + value
+    elif len(point) == 1:
+        (x,) = point
+        for (a,), value in entries:
+            if a < x:
+                result = result + value
+    else:
+        for stored, value in entries:
+            if all(map(lt, stored, point)):
+                result = result + value
+    return result
 
 
 def intervals_intersect(low1: float, high1: float, low2: float, high2: float) -> bool:

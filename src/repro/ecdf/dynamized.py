@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..core.errors import DimensionMismatchError
-from ..core.geometry import Coords, as_coords
+from ..core.geometry import Coords, as_coords, dominated_sum
 from ..core.values import Value
 from .ecdf_tree import StaticEcdfTree
 
@@ -94,10 +94,7 @@ class LogarithmicEcdfTree:
         result = self.zero
         for tree, _points in self._blocks.values():
             result = result + tree.dominance_sum(coords)
-        for stored, value in self._buffer:
-            if all(s < c for s, c in zip(stored, coords)):
-                result = result + value
-        return result
+        return dominated_sum(self._buffer, coords, result)
 
     def total(self) -> Value:
         """Sum of every stored value."""

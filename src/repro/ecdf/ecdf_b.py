@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 from ..borders import Border
 from ..bptree import AggBPlusTree
 from ..core.errors import DimensionMismatchError, TreeInvariantError
-from ..core.geometry import Coords, as_coords
+from ..core.geometry import Coords, as_coords, dominated_sum
 from ..core.values import Value, values_equal
 from ..obs import trace as _trace
 from ..storage import StorageContext
@@ -203,10 +203,7 @@ class EcdfBTree:
             if tracer is not None:
                 tracer.event("node", pid=pid, leaf=node.is_leaf)
             if node.is_leaf:
-                for stored, value in node.entries:
-                    if all(s < c for s, c in zip(stored, coords)):
-                        result = result + value
-                return result
+                return dominated_sum(node.entries, coords, result)
             idx = bisect_right(node.seps, coords[0])
             if self.variant == "u":
                 for border in node.borders[:idx]:

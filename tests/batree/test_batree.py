@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -160,6 +161,28 @@ class TestSplitStress:
         for x in (-1.0, 0.5, 1.0, 3.0):
             for y in (0.0, 50.0, 101.0):
                 assert tree.dominance_sum((x, y)) == pytest.approx(oracle.dominance_sum((x, y)))
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_grid_queries_on_split_planes(self, dims):
+        """Split planes sit at stored coordinates, so grid queries land on them.
+
+        Every query must find its half-open record, including on a plane
+        and at the universe's -inf/+inf edges.  Integer weights keep every
+        sum exact, so answers compare with ``==``.
+        """
+        rng = random.Random(83 + dims)
+        tree, _ctx = make_tree(dims=dims, leaf_capacity=3, index_capacity=3)
+        oracle = NaiveDominanceSum(dims)
+        for _ in range(150 * dims):
+            p = tuple(float(rng.randint(0, 6)) for _ in range(dims))
+            w = float(rng.randint(-4, 9))
+            tree.insert(p, w)
+            oracle.insert(p, w)
+        tree.check_invariants()
+        inf = float("inf")
+        grid = [-inf] + [float(c) for c in range(-1, 9)] + [inf]
+        for q in itertools.product(grid, repeat=dims):
+            assert tree.dominance_sum(q) == oracle.dominance_sum(q)
 
 
 class TestValuesAndLifecycle:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,12 +11,15 @@ from hypothesis import strategies as st
 from repro.core.errors import DimensionMismatchError, InvalidBoxError
 from repro.core.geometry import (
     Box,
+    dominated_sum,
     dominates,
     intervals_intersect,
     sign_parity,
     strictly_dominates,
     universe_box,
 )
+from repro.core.polynomial import Polynomial
+from repro.core.values import SumCount
 
 coords_2d = st.tuples(st.floats(-1e6, 1e6, allow_nan=False), st.floats(-1e6, 1e6, allow_nan=False))
 
@@ -57,6 +62,59 @@ class TestDominance:
     def test_transitivity(self, x, y, z):
         if dominates(x, y) and dominates(y, z):
             assert dominates(x, z)
+
+
+def _reference_scan(entries, point, result):
+    """The per-entry generator loop :func:`dominated_sum` replaced."""
+    for stored, value in entries:
+        if all(s < c for s, c in zip(stored, point)):
+            result = result + value
+    return result
+
+
+INF = float("inf")
+#: Few distinct coordinates, so stored points often tie the query in some
+#: dimension; -inf is how splits re-create a border entry's dropped coordinate.
+_GRID = (-INF, -1.5, 0.0, 0.25, 1.0, 2.0)
+
+_VALUE_KINDS = {
+    "float": (lambda rng: rng.uniform(-1e3, 1e3), 0.1),
+    "sumcount": (lambda rng: SumCount(rng.uniform(-50.0, 50.0), 1.0), SumCount(0.3, 2.0)),
+    "polynomial": (
+        lambda rng: Polynomial(2, {(0, 0): rng.uniform(-1, 1), (1, 1): rng.uniform(-1, 1)}),
+        Polynomial.constant(2, 0.7),
+    ),
+}
+
+
+class TestDominatedSum:
+    @pytest.mark.parametrize("kind", sorted(_VALUE_KINDS))
+    @pytest.mark.parametrize("dims", [1, 2, 3, 4])
+    def test_equals_reference_loop(self, dims, kind):
+        make_value, start = _VALUE_KINDS[kind]
+        rng = random.Random(f"dominated-sum-{dims}-{kind}")
+        entries = [
+            (tuple(rng.choice(_GRID) for _ in range(dims)), make_value(rng)) for _ in range(60)
+        ]
+        queries = [tuple(rng.choice(_GRID + (INF,)) for _ in range(dims)) for _ in range(80)]
+        for query in queries:
+            assert dominated_sum(entries, query, start) == _reference_scan(entries, query, start)
+        assert dominated_sum([], queries[0], start) == start
+
+    @pytest.mark.parametrize("dims", [1, 2, 3, 4])
+    def test_ties_are_not_dominated(self, dims):
+        query = tuple(float(i) for i in range(dims))
+        below = tuple(c - 1.0 for c in query)
+        entries = [(query, 1.0), (below, 10.0)]
+        for j in range(dims):
+            entries.append((below[:j] + (query[j],) + below[j + 1 :], 100.0))
+        assert dominated_sum(entries, query, 0.5) == 10.5
+
+    def test_float_order_is_entry_order(self):
+        # Summed left to right these cancel to 0.0; any other order (or a
+        # compensated sum) would keep the 1.0.
+        entries = [((0.0, 0.0), 1e16), ((0.0, 0.0), 1.0), ((0.0, 0.0), -1e16)]
+        assert dominated_sum(entries, (1.0, 1.0), 0.0) == 0.0
 
 
 class TestIntervalIntersection:

@@ -15,6 +15,8 @@ import random
 import pytest
 
 from repro.core.aggregator import BoxSumIndex
+from repro.core.geometry import Box
+from repro.core.naive import NaiveBoxSum
 from repro.obs import MetricsRegistry
 from repro.shard import ShardedService
 
@@ -121,3 +123,33 @@ def test_single_shard_degenerates_to_unsharded():
         cluster.bulk_load(objects)
         queries = [random_box(rng, dims, max_side=60.0) for _ in range(15)]
         assert cluster.box_sum_batch(queries) == [reference.box_sum(q) for q in queries]
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_unbounded_query_boxes_match_naive(dims):
+    """Query boxes reaching +inf: half-open index records hold no +inf point.
+
+    Small pages make every shard's corner indices multi-level, so each
+    probe is routed through index records whose high edge is +inf.
+    """
+    rng = random.Random(f"unbounded-{dims}")
+    objects = _exact_objects(rng, 150, dims)
+    naive = NaiveBoxSum(dims)
+    for box, value in objects:
+        naive.insert(box, value)
+    small_pages = {"leaf_capacity": 4, "index_capacity": 3}
+    reference = BoxSumIndex(dims, backend="ba", **small_pages)
+    reference.bulk_load(objects)
+    inf = float("inf")
+    queries = [Box((50.0,) * dims, (inf,) * dims), Box((-inf,) * dims, (inf,) * dims)]
+    for _ in range(10):
+        low = [rng.uniform(0.0, 80.0) for _ in range(dims)]
+        high = [inf if rng.random() < 0.5 else lo + rng.uniform(0.0, 40.0) for lo in low]
+        queries.append(Box(low, high))
+    expected = [naive.box_sum(q) for q in queries]
+    assert [reference.box_sum(q) for q in queries] == expected
+    with ShardedService(
+        dims, 3, partitioner="kd", workers=0, registry=MetricsRegistry(), index_kwargs=small_pages
+    ) as cluster:
+        cluster.bulk_load(objects)
+        assert cluster.box_sum_batch(queries) == expected
