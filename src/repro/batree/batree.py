@@ -218,7 +218,7 @@ class BATree:
                 if first_below < 0:
                     first_below = i
         if n_below == 0:
-            return _INSIDE if box.contains_point(coords) else _SKIP
+            return _INSIDE if box.contains_point(_routed(coords)) else _SKIP
         if n_below == self.dims:
             return _SUBTOTAL
         high = box.high
@@ -621,7 +621,7 @@ class BATree:
         if page.is_leaf:
             total = self.zero
             for coords, value in page.entries:
-                if not box.contains_point(coords):
+                if not box.contains_point(_routed(coords)):
                     raise TreeInvariantError(f"leaf {pid} point {coords} outside {box}")
                 total = total + value
             return len(page.entries), total
@@ -728,6 +728,13 @@ def _locate(records: List[_BARecord], coords: Coords) -> _BARecord:
             if all(map(le, box.low, routed)) and all(map(lt, routed, box.high)):
                 return record
     raise TreeInvariantError(f"no record contains {coords}")  # pragma: no cover - NaN only
+
+
+def _routed(coords: Coords) -> Coords:
+    """``coords`` with ``+inf`` routed as ``sys.float_info.max``, as in :func:`_locate`."""
+    if _INF in coords:
+        return tuple(_FLOAT_MAX if c == _INF else c for c in coords)
+    return coords
 
 
 def _drop(coords: Coords, j: int) -> Coords:

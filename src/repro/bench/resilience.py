@@ -52,26 +52,13 @@ from .report import banner, format_table
 Row = Tuple[str, float, str, str]
 
 
-def _storage_factory(cfg: BenchConfig):
-    def factory(sid: int, member: int) -> BoxSumIndex:
-        return BoxSumIndex(
-            cfg.dims,
-            backend="ba",
-            page_size=cfg.page_size,
-            buffer_pages=cfg.buffer_pages,
-        )
-
-    return factory
-
-
 def _write_amplification(cfg: BenchConfig, objects, replicas: int = 1) -> float:
     """Member page writes as a percentage of primary-only page writes."""
     with ShardedService(
         cfg.dims,
         2,
         partitioner="kd",
-        index_factory=_storage_factory(cfg),
-        workers=0,
+        index_kwargs={"page_size": cfg.page_size, "buffer_pages": cfg.buffer_pages},
         replicas=replicas,
         registry=MetricsRegistry(),
         label="bench-resilience-wamp",
@@ -99,7 +86,6 @@ def _failover_overhead(cfg: BenchConfig, objects, queries) -> float:
         cfg.dims,
         2,
         partitioner="kd",
-        workers=0,
         replicas=1,
         registry=MetricsRegistry(),
         service_wrapper=chaos_member_wrapper(ChaosPlan(seed=cfg.seed, raise_rate=0.3)),
@@ -130,7 +116,6 @@ def _breaker_containment(cfg: BenchConfig, objects, queries) -> float:
         cfg.dims,
         2,
         partitioner="kd",
-        workers=0,
         replicas=1,
         registry=MetricsRegistry(),
         service_wrapper=wrapper,
@@ -162,7 +147,6 @@ def _degraded_coverage(cfg: BenchConfig, objects, queries) -> float:
         cfg.dims,
         4,
         partitioner="kd",
-        workers=0,
         registry=MetricsRegistry(),
         service_wrapper=dead_wrapper,
         resilience=ResilienceConfig(

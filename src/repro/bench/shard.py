@@ -1,12 +1,13 @@
 """Shard-scaling experiment: scatter-gather speedup and balance.
 
 A clustered dataset is served through :class:`repro.shard.ShardedService`
-at 1, 2, 4 and 8 shards (kd-median partitioning, sequential fan-out so
-every number is deterministic).  The workload is a spatially skewed
-hotspot batch (:func:`repro.workloads.hotspot_boxes`) — the serving
-pattern sharding targets: most shards prune or cover their probes from
-their extent MBR alone, and the ones that can't each scan a fraction of
-the data against a full-size buffer pool.
+at 1, 2, 4 and 8 in-process shards (kd-median partitioning; the shards
+answer in turn on the caller's thread, so every number is deterministic).
+The workload is a spatially skewed hotspot batch
+(:func:`repro.workloads.hotspot_boxes`) — the serving pattern sharding
+targets: most shards prune or cover their probes from their extent MBR
+alone, and the ones that can't each scan a fraction of the data against a
+full-size buffer pool.
 
 Throughput is modeled by **page reads on the critical path**: every shard
 evaluates in parallel in a real deployment, so a batch's latency is the
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Tuple
 
-from ..core.aggregator import BoxSumIndex
 from ..core.errors import ReproError
 from ..core.naive import NaiveBoxSum
 from ..obs import MetricsRegistry
@@ -67,21 +67,11 @@ def shard_scaling_experiment(cfg: BenchConfig, verbose: bool = True) -> List[Row
     rows: List[Row] = []
     baseline_critical = None
     for shards in SHARD_COUNTS:
-
-        def factory(sid: int) -> BoxSumIndex:
-            return BoxSumIndex(
-                cfg.dims,
-                backend="ba",
-                page_size=cfg.page_size,
-                buffer_pages=cfg.buffer_pages,
-            )
-
         with ShardedService(
             cfg.dims,
             shards,
             partitioner="kd",
-            index_factory=factory,
-            workers=0,
+            index_kwargs={"page_size": cfg.page_size, "buffer_pages": cfg.buffer_pages},
             registry=MetricsRegistry(),
             label=f"bench-s{shards}",
         ) as cluster:

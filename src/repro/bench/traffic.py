@@ -96,7 +96,6 @@ def _make_cluster(
         cfg.dims,
         TRAFFIC_SHARDS,
         partitioner="kd",
-        workers=0,
         max_inflight=TRAFFIC_MAX_INFLIGHT,
         max_queue=TRAFFIC_MAX_QUEUE,
         index_kwargs={"page_size": cfg.page_size, "buffer_pages": cfg.buffer_pages},

@@ -129,6 +129,7 @@ class BoxSumIndex:
             raise InvalidQueryError(f"unknown measure {measure!r}")
         self.dims = dims
         self.backend = backend
+        self.reduction = reduction
         self.measure = measure
         self.num_objects = 0
         self._zero: Value = SumCount(0.0, 0.0) if measure == "sum+count" else 0.0
@@ -306,10 +307,7 @@ class BoxSumIndex:
         """The base value seeding probe reassembly (Lemma 1 vs Theorem 1).
 
         The corner reduction starts inclusion–exclusion from ``zero``; EO82
-        starts from the grand total and subtracts avoidance terms.  Because
-        dominance sums — and the grand total — are additive over disjoint
-        object partitions, a sharded deployment reassembles the exact answer
-        from ``sum(shard.probe_base)`` plus the per-probe sums.
+        starts from the grand total and subtracts avoidance terms.
         """
         if self._object_index is not None:
             raise NotSupportedError("object backends do not expose a probe base")

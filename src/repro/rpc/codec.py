@@ -14,9 +14,9 @@ Three building blocks cover every verb:
   bit patterns, so a multiprocess answer is bit-identical to an
   in-process one by construction;
 * **probe identities** — the ``(key, point)`` pairs of
-  :mod:`repro.service.planner`; corner keys are flat sign tuples, EO82
-  keys are ``(dims_subset, sides)`` pairs, anything else falls back to
-  pickle;
+  :mod:`repro.service.planner`; a key is a corner sign vector (tag ``0``).
+  Tags ``1`` (``(dims_subset, sides)`` keys of the Theorem 1 reduction)
+  and ``2`` (pickled keys) are retired: never reused, rejected on decode;
 * **errors** — stable error codes (table below) plus per-code attribute
   payloads, so :class:`~repro.core.errors.ServiceOverloadedError` arrives
   with its ``inflight``/``queue_depth`` intact and retryable-overload
@@ -161,61 +161,27 @@ def _unpack_boxes(payload: bytes, offset: int) -> Tuple[List[Box], int]:
 # -- probe identity codec --------------------------------------------------------
 
 KEY_SIGNS = 0  # corner reduction: flat tuple of small ints
-KEY_EO82 = 1  # EO82 reduction: (dims_subset, sides) pair of int tuples
-KEY_PICKLE = 2  # anything else
+# Retired in protocol v2, never reused: 1 (Theorem 1 ``(dims_subset, sides)``
+# keys) and 2 (pickled keys).
 
 
 def _pack_key(parts: List[bytes], key: object) -> None:
-    if (
-        isinstance(key, tuple)
-        and key
-        and all(isinstance(x, int) and 0 <= x <= 0xFF for x in key)
-    ):
-        parts.append(_U8.pack(KEY_SIGNS))
-        parts.append(_U8.pack(len(key)))
-        parts.append(bytes(key))
-    elif (
-        isinstance(key, tuple)
-        and len(key) == 2
-        and all(
-            isinstance(half, tuple) and all(isinstance(x, int) and 0 <= x <= 0xFF for x in half)
-            for half in key
-        )
-    ):
-        dims_subset, sides = key
-        parts.append(_U8.pack(KEY_EO82))
-        parts.append(_U8.pack(len(dims_subset)))
-        parts.append(bytes(dims_subset))
-        parts.append(_U8.pack(len(sides)))
-        parts.append(bytes(sides))
-    else:
-        blob = pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL)
-        parts.append(_U8.pack(KEY_PICKLE))
-        parts.append(_U32.pack(len(blob)))
-        parts.append(blob)
+    signs = isinstance(key, tuple) and all(isinstance(x, int) and 0 <= x <= 0xFF for x in key)
+    if not (signs and key):
+        raise WireProtocolError(f"probe key {key!r} is not a corner sign vector")
+    parts.append(_U8.pack(KEY_SIGNS))
+    parts.append(_U8.pack(len(key)))
+    parts.append(bytes(key))
 
 
 def _unpack_key(payload: bytes, offset: int) -> Tuple[object, int]:
     (tag,) = _U8.unpack_from(payload, offset)
     offset += _U8.size
-    if tag == KEY_SIGNS:
-        (n,) = _U8.unpack_from(payload, offset)
-        offset += _U8.size
-        return tuple(payload[offset : offset + n]), offset + n
-    if tag == KEY_EO82:
-        (n,) = _U8.unpack_from(payload, offset)
-        offset += _U8.size
-        dims_subset = tuple(payload[offset : offset + n])
-        offset += n
-        (m,) = _U8.unpack_from(payload, offset)
-        offset += _U8.size
-        sides = tuple(payload[offset : offset + m])
-        return (dims_subset, sides), offset + m
-    if tag == KEY_PICKLE:
-        (length,) = _U32.unpack_from(payload, offset)
-        offset += _U32.size
-        return pickle.loads(payload[offset : offset + length]), offset + length
-    raise WireProtocolError(f"unknown probe-key tag {tag}")
+    if tag != KEY_SIGNS:
+        raise WireProtocolError(f"unknown probe-key tag {tag}")
+    (n,) = _U8.unpack_from(payload, offset)
+    offset += _U8.size
+    return tuple(payload[offset : offset + n]), offset + n
 
 
 def encode_identities(identities: Sequence[Tuple[object, Tuple[float, ...]]]) -> bytes:
@@ -333,7 +299,6 @@ def encode_snapshot(snapshot: ProbeSnapshot) -> bytes:
         _U32.pack(snapshot.probes_executed),
         _U32.pack(snapshot.probe_cache_hits),
     ]
-    _pack_value(parts, snapshot.base)
     _pack_value(parts, snapshot.total)
     parts.append(_U32.pack(len(snapshot.values)))
     for value in snapshot.values:
@@ -348,7 +313,6 @@ def decode_snapshot(payload: bytes) -> ProbeSnapshot:
     offset += _U32.size
     (hits,) = _U32.unpack_from(payload, offset)
     offset += _U32.size
-    base, offset = _unpack_value(payload, offset)
     total, offset = _unpack_value(payload, offset)
     (count,) = _U32.unpack_from(payload, offset)
     offset += _U32.size
@@ -359,7 +323,6 @@ def decode_snapshot(payload: bytes) -> ProbeSnapshot:
     _check_consumed(payload, offset, "snapshot")
     return ProbeSnapshot(
         values=values,
-        base=base,
         total=total,
         epoch=epoch,
         probes_executed=executed,

@@ -34,7 +34,8 @@ from typing import NamedTuple, Tuple
 from ..core.errors import WireProtocolError
 
 #: Protocol version spoken by this build (bump on incompatible change).
-PROTOCOL_VERSION = 1
+#: v2: probe snapshots carry no reduction base; probe keys are sign vectors.
+PROTOCOL_VERSION = 2
 
 #: Magic prefix of the HELLO payload.
 HELLO_MAGIC = b"RPRORPC\x01"

@@ -2,16 +2,17 @@
 
 :func:`worker_main` is the child's entire life: build the index and
 service from a declarative :class:`WorkerSpec` (no closures cross the
-process boundary — the spec is the same ``(dims, backend, reduction,
-measure, index_kwargs)`` tuple :class:`~repro.shard.ShardedService` builds
-in-process shards from), announce itself with a HELLO frame, then serve a
-single-threaded dispatch loop until a SHUTDOWN request or EOF.
+process boundary — the spec is the same ``(dims, backend, measure,
+index_kwargs)`` tuple :class:`~repro.shard.ShardedService` builds
+in-process shards from; shards always use the corner reduction), announce
+itself with a HELLO frame, then serve a single-threaded dispatch loop until
+a SHUTDOWN request or EOF.
 
-Concurrency lives on the *parent* side: the cluster's fan-out thread pool
-overlaps round-trips to different workers, while inside each worker the
-loop handles one request at a time (the per-client mutex in
-:class:`~repro.rpc.client.WorkerClient` already serializes them, so a
-worker-side executor would only add idle threads).
+Concurrency lives on the *parent* side: the cluster's fan-out thread pool,
+which exists only for process workers, overlaps round-trips to different
+workers, while inside each worker the loop handles one request at a time
+(the per-client mutex in :class:`~repro.rpc.client.WorkerClient` already
+serializes them, so a worker-side executor would only add idle threads).
 
 Every request is answered — ``RESP_OK`` with the verb's payload, or
 ``RESP_ERR`` with the stable-coded error (:mod:`repro.rpc.codec`) — so the
@@ -42,14 +43,13 @@ class WorkerSpec(NamedTuple):
     """Everything needed to rebuild one shard service in a child process.
 
     Deliberately declarative (strings, numbers, plain dicts): the spec
-    must survive a process boundary, so arbitrary ``index_factory``
-    callables are out — that is why ``ShardedService(workers="process")``
-    rejects factories.
+    must survive a process boundary, so it names the index instead of
+    carrying a factory.  The index always uses the corner reduction, the
+    only one a sharded merge supports.
     """
 
     dims: int
     backend: str = "ba"
-    reduction: str = "corner"
     measure: str = "sum"
     index_kwargs: Tuple[Tuple[str, object], ...] = ()
     service_kwargs: Tuple[Tuple[str, object], ...] = ()
@@ -60,7 +60,6 @@ def make_spec(
     dims: int,
     *,
     backend: str = "ba",
-    reduction: str = "corner",
     measure: str = "sum",
     index_kwargs: Optional[Dict[str, object]] = None,
     service_kwargs: Optional[Dict[str, object]] = None,
@@ -70,7 +69,6 @@ def make_spec(
     return WorkerSpec(
         dims=dims,
         backend=backend,
-        reduction=reduction,
         measure=measure,
         index_kwargs=tuple(sorted((index_kwargs or {}).items())),
         service_kwargs=tuple(sorted((service_kwargs or {}).items())),
@@ -81,11 +79,7 @@ def make_spec(
 def build_index(spec: WorkerSpec) -> BoxSumIndex:
     """The spec's index — used both worker-side and for the planning twin."""
     return BoxSumIndex(
-        spec.dims,
-        backend=spec.backend,
-        reduction=spec.reduction,
-        measure=spec.measure,
-        **dict(spec.index_kwargs),
+        spec.dims, backend=spec.backend, measure=spec.measure, **dict(spec.index_kwargs)
     )
 
 

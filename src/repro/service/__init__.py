@@ -14,8 +14,7 @@ need computing only once.  This package exploits that:
   (:class:`RWLock`) keeping concurrent readers off half-applied updates;
 * :mod:`repro.service.service` — :class:`QueryService`, tying admission
   control (``max_inflight``/``max_queue``/backpressure), the lock, both
-  caches, the planner, an optional probe worker pool and :mod:`repro.obs`
-  instrumentation together.
+  caches, the planner and :mod:`repro.obs` instrumentation together.
 
 Quickstart::
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..core.errors import ServiceClosedError, ServiceOverloadedError
 
@@ -115,20 +115,13 @@ class AdmissionGate:
     those requests still use.
     """
 
-    def __init__(
-        self,
-        max_inflight: int,
-        max_queue: int,
-        queue_timeout: Optional[float] = None,
-        scope: str = "service",
-    ) -> None:
+    def __init__(self, max_inflight: int, max_queue: int, scope: str = "service") -> None:
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
         self.max_inflight = max_inflight
         self.max_queue = max_queue
-        self.queue_timeout = queue_timeout
         self.scope = scope
         self._cond = threading.Condition(threading.Lock())
         self._inflight = 0
@@ -152,7 +145,6 @@ class AdmissionGate:
     def admit(self) -> float:
         """Take an execution slot (waiting if allowed); returns the wait time."""
         start = time.perf_counter()
-        deadline = None if self.queue_timeout is None else start + self.queue_timeout
         with self._cond:
             if self._closed:
                 raise ServiceClosedError(f"{self.scope} is closed")
@@ -171,17 +163,7 @@ class AdmissionGate:
                     # keeps waiting for a slot (freed as in-flight requests
                     # complete) instead of aborting with ServiceClosedError.
                     while self._inflight >= self.max_inflight:
-                        timeout = None
-                        if deadline is not None:
-                            timeout = deadline - time.perf_counter()
-                            if timeout <= 0:
-                                raise ServiceOverloadedError(
-                                    f"{self.scope}: no execution slot within "
-                                    f"{self.queue_timeout}s",
-                                    inflight=self._inflight,
-                                    queue_depth=self._waiting - 1,
-                                )
-                        self._cond.wait(timeout=timeout)
+                        self._cond.wait()
                 finally:
                     self._waiting -= 1
             self._inflight += 1

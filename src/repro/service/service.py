@@ -13,8 +13,8 @@
   service epoch, logically invalidating all cached values in O(1); a stale
   entry is never served (see :mod:`repro.service.cache`);
 * **corner-sharing batch planning** — a batch's ``2^d``-probe plans are
-  deduped across queries and each unique probe runs once, sequentially or
-  on a thread pool (see :mod:`repro.service.planner`);
+  deduped across queries and each unique probe runs once, on the calling
+  thread (see :mod:`repro.service.planner`);
 * **observability** — request/probe/cache counters and batch-size plus
   queue-wait histograms in the :mod:`repro.obs` registry, and a
   ``service.batch`` span nesting the underlying ``dominance_sum`` spans
@@ -76,7 +76,6 @@ class ProbeSnapshot(NamedTuple):
     """One shard's probe values plus everything a router needs, atomically.
 
     All fields are read under a single read-lock acquisition, so ``values``,
-    ``base`` (the reduction's seed: zero for corner, grand total for EO82),
     ``total`` (the index grand total — the value of any probe that strictly
     dominates the shard's whole extent) and ``epoch`` describe one
     consistent index state: a scatter-gather merge built from them can never
@@ -84,7 +83,6 @@ class ProbeSnapshot(NamedTuple):
     """
 
     values: List[object]
-    base: object
     total: object
     epoch: int
     probes_executed: int
@@ -104,15 +102,13 @@ class QueryService:
     result_cache / probe_cache:
         Entry capacities of the two epoch-invalidated LRU caches (0
         disables either).
-    max_inflight / max_queue / queue_timeout:
-        Admission control: concurrent executions, waiting slots, and an
-        optional cap (seconds) on queue wait before shedding.
-    workers:
-        Size of the probe worker pool; 0 (default) resolves probes on the
-        calling thread.
+    max_inflight / max_queue:
+        Admission control: concurrent executions and waiting slots.
 
-    A service carries no replication log and no approximate tier: the log
-    lives on :class:`~repro.resilience.group.ReplicaGroup` and the tier on
+    Probes resolve on the calling thread; concurrent callers overlap on
+    the shared read lock.  A service starts no threads, and it carries no
+    replication log and no approximate tier: the log lives on
+    :class:`~repro.resilience.group.ReplicaGroup` and the tier on
     :class:`~repro.shard.ShardedService`.
     """
 
@@ -124,8 +120,6 @@ class QueryService:
         probe_cache: int = 4096,
         max_inflight: int = 8,
         max_queue: int = 32,
-        queue_timeout: Optional[float] = None,
-        workers: int = 0,
         registry: Optional[MetricsRegistry] = None,
         label: Optional[str] = None,
     ) -> None:
@@ -145,10 +139,7 @@ class QueryService:
         self._object_mutex = threading.Lock()
         self.max_inflight = max_inflight
         self.max_queue = max_queue
-        self.queue_timeout = queue_timeout
-        self._gate = AdmissionGate(
-            max_inflight, max_queue, queue_timeout, scope=f"service[{self.label}]"
-        )
+        self._gate = AdmissionGate(max_inflight, max_queue, scope=f"service[{self.label}]")
         self._epoch = 0
         #: Stream digest of every *recorded* mutation this member applied —
         #: the member-side half of the divergence-audit invariant
@@ -173,13 +164,6 @@ class QueryService:
         storage = getattr(index, "storage", None)
         if storage is not None:
             storage.make_thread_safe()
-        self._executor = None
-        if workers > 0:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-service"
-            )
         registry = registry if registry is not None else get_registry()
         self._m_requests = registry.counter(
             "repro_service_requests", "requests admitted, by kind (single/batch)"
@@ -318,7 +302,6 @@ class QueryService:
                     store=lambda identity, value: self._probes.put(
                         probe_key(identity), epoch, value
                     ),
-                    executor=self._executor,
                 )
                 fresh = execution.results
                 probes_planned = execution.probes_total
@@ -348,7 +331,7 @@ class QueryService:
     # -- shard router seam -------------------------------------------------------
 
     def resolve_probe_values(self, identities: Sequence[ProbeIdentity]) -> ProbeSnapshot:
-        """Resolve raw probe values for a router, atomically with base/total/epoch.
+        """Resolve raw probe values for a router, atomically with total/epoch.
 
         This is the scatter half of sharded scatter-gather
         (:mod:`repro.shard.router`): the router deduplicates probe identities
@@ -380,7 +363,6 @@ class QueryService:
                     else:
                         hits += 1
                     values.append(value)
-                base = self.index.probe_base
                 total = self.index.total()
         finally:
             self._release()
@@ -393,7 +375,6 @@ class QueryService:
                 self._m_cache.inc(hits, cache="probe", outcome="hit", label=self.label)
         return ProbeSnapshot(
             values=values,
-            base=base,
             total=total,
             epoch=epoch,
             probes_executed=executed,
@@ -523,7 +504,7 @@ class QueryService:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Reject new work, drain accepted requests, release the worker pool.
+        """Reject new work, drain accepted requests, clear the caches.
 
         Close is *graceful*: requests the admission gate already accepted —
         executing or queued — run to completion and return real answers;
@@ -535,8 +516,6 @@ class QueryService:
         if not self._gate.close():
             return
         self._gate.drain()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
         self._results.clear()
         self._probes.clear()
 

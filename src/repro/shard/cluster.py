@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from inspect import signature
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..approx.bounds import ApproxResult
@@ -102,31 +101,27 @@ class ShardedService:
         Dimensionality of every shard index.
     num_shards:
         Number of shard-local indices (>= 1).
-    backend / reduction / measure / index_kwargs:
-        Forwarded to each shard's :class:`~repro.core.aggregator.BoxSumIndex`
-        (ignored when ``index_factory`` is given).
-    index_factory:
-        ``shard_id -> index`` override for heterogeneous or durable shards
-        (e.g. each shard on its own :class:`~repro.storage.StorageContext`).
+    backend / measure / index_kwargs:
+        Forwarded to each shard's :class:`~repro.core.aggregator.BoxSumIndex`.
+        Shards always use the corner reduction (Theorem 2): the router
+        merges per-shard dominance sums seeded from zero.
     partitioner:
         A registry name (``"kd"``, ``"hash"``, ``"roundrobin"``), a
         :class:`~repro.shard.partition.Partitioner`, or a restored
         :class:`~repro.shard.partition.ShardMap`.
-    max_inflight / max_queue / queue_timeout:
+    max_inflight / max_queue:
         The *cluster* admission gate.  Per-shard services default to the
         same budget (the cluster gate is then the binding constraint); tune
         individual shards via ``shard_kwargs``.
     workers:
-        Scatter fan-out pool size; None sizes it to ``min(num_shards, 8)``,
-        0 keeps the fan-out sequential (deterministic, still exact).  The
-        string ``"process"`` switches every shard member to a
+        ``None`` (default) keeps every shard in this process; a scatter
+        calls the contacted shards in turn on the caller's thread.
+        ``"process"`` switches every shard member to a
         :class:`~repro.rpc.WorkerClient` — a ``multiprocessing`` child
         hosting the shard service behind the wire protocol of
-        :mod:`repro.rpc` — with the fan-out pool at its default size so
-        round-trips to different workers overlap.  Answers stay
-        bit-identical; ``index_factory`` is rejected (a factory closure
-        cannot cross the process boundary — use the declarative
-        backend/kwargs form).
+        :mod:`repro.rpc` — and adds a fan-out pool of ``min(num_shards, 8)``
+        threads so round-trips to different workers overlap.  Answers stay
+        bit-identical either way.  Anything else raises ``ValueError``.
     replicas:
         Synchronous replicas per shard beyond the primary.  A shard is a
         :class:`~repro.resilience.group.ReplicaGroup` whenever it needs
@@ -157,10 +152,6 @@ class ShardedService:
         and per-shard point-in-time recovery.
         Members built here are *not* run through ``service_wrapper`` when
         seeded later — a freshly restored member starts clean.
-    replog_options:
-        Extra keyword arguments for each shard's
-        :class:`~repro.replog.ReplicationLog` (``segment_bytes``,
-        ``fsync``, ``checkpoint_retain``, ...).
     degrade:
         ``"off"`` (default) or ``"bounded"``.  With ``"bounded"`` the
         cluster keeps a per-shard :class:`~repro.approx.ApproxTier` fed
@@ -189,43 +180,35 @@ class ShardedService:
         num_shards: int,
         *,
         backend: str = "ba",
-        reduction: str = "corner",
         measure: str = "sum",
         partitioner="kd",
-        index_factory=None,
         index_kwargs: Optional[Dict[str, object]] = None,
         shard_kwargs: Optional[Dict[str, object]] = None,
         max_inflight: int = 8,
         max_queue: int = 32,
-        queue_timeout: Optional[float] = None,
-        workers: Optional[int] = None,
+        workers: Optional[str] = None,
         registry: Optional[MetricsRegistry] = None,
         label: str = "cluster",
         replicas: int = 0,
         resilience: Optional[ResilienceConfig] = None,
         service_wrapper=None,
         replog_dir: Optional[str] = None,
-        replog_options: Optional[Dict[str, object]] = None,
         degrade: str = "off",
         approx_policy: Optional[ApproxPolicy] = None,
         heal=None,
     ) -> None:
         self.dims = dims
         self.label = label
+        if workers not in (None, "process"):
+            raise ValueError(f'workers must be None or "process", got {workers!r}')
         process_workers = workers == "process"
-        if process_workers:
-            workers = None  # fan-out pool reverts to its default sizing
-            if index_factory is not None:
-                raise NotSupportedError(
-                    "workers='process' cannot ship an index_factory closure "
-                    "across the process boundary; use the declarative "
-                    "backend/reduction/measure/index_kwargs form"
-                )
-        self._process_workers = process_workers
         self._map = make_shard_map(partitioner, num_shards, replicas=replicas)
         replicas = self._map.replicas
         registry = registry if registry is not None else get_registry()
         index_kwargs = dict(index_kwargs or {})
+        #: What every in-process member and point-in-time recovery builds
+        #: its index from.
+        self._index_args = dict(index_kwargs, backend=backend, measure=measure)
         shard_kwargs = dict(shard_kwargs or {})
         shard_kwargs.setdefault("max_inflight", max_inflight)
         shard_kwargs.setdefault("max_queue", max_queue)
@@ -245,8 +228,6 @@ class ShardedService:
         if degrade not in ("off", "bounded"):
             raise ValueError(f'degrade must be "off" or "bounded", got {degrade!r}')
         self.degrade = degrade
-        # The approximate tier mirrors the declared measure; clusters built
-        # through an index_factory must declare the matching measure= too.
         self._approx = (
             ApproxTier(
                 dims,
@@ -259,30 +240,6 @@ class ShardedService:
             if degrade == "bounded"
             else None
         )
-        factory_arity = 1
-        if index_factory is not None:
-            try:
-                factory_arity = len(signature(index_factory).parameters)
-            except (TypeError, ValueError):
-                factory_arity = 1
-
-        def build_index(sid: int, member: int):
-            if index_factory is None:
-                return BoxSumIndex(
-                    dims,
-                    backend=backend,
-                    reduction=reduction,
-                    measure=measure,
-                    **index_kwargs,
-                )
-            # A 2-arg factory places each member separately (e.g. its own
-            # storage directory); a 1-arg factory is called once per member
-            # and must yield equivalent empty indices.
-            if factory_arity >= 2:
-                return index_factory(sid, member)
-            return index_factory(sid)
-
-        replog_options = dict(replog_options or {})
 
         def build_replog(sid: int) -> Optional[ReplicationLog]:
             if replog_dir is None:
@@ -291,7 +248,6 @@ class ShardedService:
                 os.path.join(replog_dir, f"shard-{sid:04d}"),
                 registry=registry,
                 label=f"{label}/s{sid}",
-                **replog_options,
             )
 
         if process_workers:
@@ -300,11 +256,10 @@ class ShardedService:
             from ..rpc.client import WorkerClient
             from ..rpc.worker import make_spec
 
-            def build_member(sid: int, member: int, suffix: str):
+            def build_member(suffix: str):
                 spec = make_spec(
                     dims,
                     backend=backend,
-                    reduction=reduction,
                     measure=measure,
                     index_kwargs=index_kwargs,
                     service_kwargs=shard_kwargs,
@@ -314,9 +269,9 @@ class ShardedService:
 
         else:
 
-            def build_member(sid: int, member: int, suffix: str):
+            def build_member(suffix: str):
                 return QueryService(
-                    build_index(sid, member),
+                    BoxSumIndex(dims, **self._index_args),
                     registry=registry,
                     label=f"{label}/{suffix}",
                     **shard_kwargs,
@@ -324,15 +279,13 @@ class ShardedService:
 
         self._groups: List[ReplicaGroup] = []
         self._shards: List[Union[QueryService, ReplicaGroup]] = []
-        self._build_index = build_index
-        #: member ids for log-seeded members (2-arg index factories place
-        #: each member separately, so late members need fresh ids)
+        #: member ids that label log-seeded members
         self._member_ids = itertools.count(1000)
         for sid in range(num_shards):
             members: List[QueryService] = []
             for member in range(1 + replicas):
                 suffix = f"s{sid}" if member == 0 else f"s{sid}r{member}"
-                service = build_member(sid, member, suffix)
+                service = build_member(suffix)
                 if service_wrapper is not None:
                     service = service_wrapper(service, sid, member)
                 members.append(service)
@@ -341,8 +294,7 @@ class ShardedService:
                 continue
 
             def make_member(sid=sid) -> QueryService:
-                member = next(self._member_ids)
-                return build_member(sid, member, f"s{sid}m{member}")
+                return build_member(f"s{sid}m{next(self._member_ids)}")
 
             group = ReplicaGroup(
                 sid,
@@ -355,14 +307,14 @@ class ShardedService:
             )
             self._groups.append(group)
             self._shards.append(group)
+        # Only round-trips to worker processes can overlap: in-process
+        # shards hold the GIL, so they answer on the caller's thread.
         self._executor = None
-        if workers is None:
-            workers = min(num_shards, 8) if num_shards > 1 else 0
-        if workers > 0:
+        if process_workers and num_shards > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             self._executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-shard"
+                max_workers=min(num_shards, 8), thread_name_prefix="repro-shard"
             )
         self._router = ShardRouter(
             self._shards,
@@ -372,9 +324,7 @@ class ShardedService:
             allow_partial=bool(self.resilience and self.resilience.partial_results)
             or self._approx is not None,
         )
-        self._gate = AdmissionGate(
-            max_inflight, max_queue, queue_timeout, scope=f"cluster[{label}]"
-        )
+        self._gate = AdmissionGate(max_inflight, max_queue, scope=f"cluster[{label}]")
         self._cluster_lock = RWLock()
         self._meta = threading.Lock()
         self._ledger: Dict[_LedgerKey, Dict[int, int]] = {}
@@ -937,13 +887,12 @@ class ShardedService:
     def recover_shard_to(self, sid: int, lsn: int) -> QueryService:
         """Point-in-time recovery: shard ``sid`` as of record ``lsn``.
 
-        Builds a fresh index through the shard's own factory settings and
-        replays checkpoint + tail into it — an offline forensic replica;
-        the live shard is untouched.
+        Builds a fresh in-process index from the cluster's
+        backend/measure/index_kwargs and replays checkpoint + tail into it —
+        an offline forensic replica; the live shard is untouched.
         """
         group = self._logged_group(sid)
-        member = next(self._member_ids)
-        return group.recover_to(lsn, lambda: self._build_index(sid, member))
+        return group.recover_to(lsn, lambda: BoxSumIndex(self.dims, **self._index_args))
 
     # -- internals -----------------------------------------------------------------
 
@@ -1029,8 +978,9 @@ class ShardedService:
 
         The cluster gate closes first (new admissions fail with
         :class:`~repro.core.errors.ServiceClosedError`), then already
-        admitted batches drain, then the fan-out pool and every shard
-        service (each draining its own accepted work) shut down.
+        admitted batches drain, then the fan-out pool (process workers
+        only) and every shard service (each draining its own accepted work)
+        shut down.
         """
         if self._heal is not None:
             # The supervisor must stop *first*: a repair racing the close

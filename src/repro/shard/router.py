@@ -16,18 +16,17 @@ sums.  The router therefore:
    the shard's grand total, no I/O), or **needed** (must be executed);
 3. fans the needed probes out to the shards — each via
    :meth:`~repro.service.service.QueryService.resolve_probe_values`, which
-   returns values, reduction base, grand total and epoch under a single
-   read-lock acquisition, so no shard ever contributes a torn view;
+   returns values, grand total and epoch under a single read-lock
+   acquisition, so no shard ever contributes a torn view;
 4. merges per probe identity by addition in ascending shard order and
-   reassembles every query with
-   :func:`~repro.core.reduction.combine_probe_values` — the same
-   accumulation the unsharded path uses, so results are bit-identical to a
-   single index holding all the objects (exactly so under exact weights).
+   reassembles every query with the reference index's
+   ``box_sum_from_probes`` — the same accumulation the unsharded path
+   uses, so results are bit-identical to a single index holding all the
+   objects (exactly so under exact weights).
 
-Corner-reduction shards whose probes all prune are skipped entirely (their
-base is the additive zero); EO82 shards are always contacted because their
-base is the shard grand total, which seeds the merge.  Object backends
-(``ar``/``rstar``) expose no probe seam; the router falls back to
+Shards must use the corner reduction (Theorem 2), whose reassembly seeds
+from zero, so a shard whose probes all prune is skipped entirely.  Object
+backends (``ar``/``rstar``) expose no probe seam; the router falls back to
 monolithic per-shard ``box_sum_batch`` with query-level extent pruning and
 merges the per-query answers by addition.
 """
@@ -35,16 +34,15 @@ merges the per-query answers by addition.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
-from ..core.errors import ServiceOverloadedError, ShardUnavailableError
+from ..core.errors import NotSupportedError, ServiceOverloadedError, ShardUnavailableError
 from ..core.geometry import Box
-from ..core.reduction import combine_probe_values
-from ..core.values import SumCount, Value
+from ..core.values import Value
 from ..obs import trace as _trace
 from ..obs.registry import MetricsRegistry, get_registry
 from ..service.planner import BatchPlan, ProbeIdentity
-from ..service.service import ProbeSnapshot, QueryService
+from ..service.service import QueryService
 
 #: Fan-out histogram buckets (shards contacted per batch).
 FANOUT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -54,6 +52,8 @@ MERGE_BUCKETS = (0.00001, 0.0001, 0.001, 0.01, 0.05, 0.1, 0.5)
 
 #: (shard, probe) classifications.
 _NEEDED, _PRUNED, _COVERED = 0, 1, 2
+
+_T = TypeVar("_T")
 
 
 class ClusterBatchResult(NamedTuple):
@@ -86,46 +86,21 @@ class ClusterBatchResult(NamedTuple):
         return not self.shards_failed
 
 
-def _probe_bounds(key: object, extent: Box) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """Per-dimension bounds of every point a shard stored in index ``key``.
-
-    All object corners lie inside the shard's extent MBR, so a corner index
-    (key = sign vector) stores points bounded by ``(extent.low,
-    extent.high)`` componentwise.  An EO82 index (key = ``(dims, sides)``)
-    stores ``o.h_d`` for a LOW side — bounded by ``(extent.low[d],
-    extent.high[d])`` — and ``−o.l_d`` for a HIGH side — bounded by
-    ``(−extent.high[d], −extent.low[d])``.
-    """
-    if isinstance(key, tuple) and key and isinstance(key[0], tuple):
-        dims_subset, sides = key
-        lows = tuple(
-            extent.low[d] if side == 0 else -extent.high[d]
-            for d, side in zip(dims_subset, sides)
-        )
-        highs = tuple(
-            extent.high[d] if side == 0 else -extent.low[d]
-            for d, side in zip(dims_subset, sides)
-        )
-        return lows, highs
-    return extent.low, extent.high
-
-
 def _classify(identity: ProbeIdentity, extent: Optional[Box]) -> int:
-    """Classify one probe against a shard extent (no extent → must execute)."""
+    """Classify one probe against a shard extent (no extent → must execute).
+
+    Every object corner lies inside the shard's extent MBR, so each corner
+    index (key = sign vector) stores points bounded by ``(extent.low,
+    extent.high)`` componentwise.
+    """
     if extent is None:
         return _NEEDED
-    key, point = identity
-    lows, highs = _probe_bounds(key, extent)
-    if any(p <= lo for p, lo in zip(point, lows)):
+    point = identity[1]
+    if any(p <= lo for p, lo in zip(point, extent.low)):
         return _PRUNED
-    if all(p > hi for p, hi in zip(point, highs)):
+    if all(p > hi for p, hi in zip(point, extent.high)):
         return _COVERED
     return _NEEDED
-
-
-def _is_corner_key(key: object) -> bool:
-    """Corner keys are flat sign vectors; EO82 keys are ``(dims, sides)`` pairs."""
-    return not (isinstance(key, tuple) and key and isinstance(key[0], tuple))
 
 
 class ShardRouter:
@@ -133,9 +108,12 @@ class ShardRouter:
 
     The router holds no object state of its own — extents arrive with each
     call (the cluster snapshots them under its metadata lock) so the router
-    can also be used standalone over hand-built services.  ``executor`` may
-    be any object with ``map`` (e.g. a ``ThreadPoolExecutor``); without one
-    the fan-out is sequential, which is still exact.
+    can also be used standalone over hand-built services.  Every probe
+    index must use the corner reduction; any other raises
+    :class:`~repro.core.errors.NotSupportedError`.  Without an
+    ``executor`` the contacted shards answer in turn on the caller's
+    thread; the cluster passes one (any object with ``map``) only for
+    process workers, whose round-trips overlap.
 
     ``allow_partial=True`` turns a shard-level
     :class:`~repro.core.errors.ShardUnavailableError` (a whole replica
@@ -163,6 +141,14 @@ class ShardRouter:
         self._executor = executor
         reference = self.shards[0].index
         self._supports_probes = bool(getattr(reference, "supports_probes", False))
+        if self._supports_probes:
+            for shard in self.shards:
+                reduction = getattr(shard.index, "reduction", "corner")
+                if reduction != "corner":
+                    raise NotSupportedError(
+                        f"shards must use the corner reduction, got {reduction!r}: "
+                        "a sharded merge seeds every query from zero"
+                    )
         registry = registry if registry is not None else get_registry()
         self._m_batches = registry.counter("repro_shard_batches", "scatter-gather batches routed")
         self._m_probes = registry.counter(
@@ -216,7 +202,6 @@ class ShardRouter:
         reference = self.shards[0].index
         plans = [reference.probe_plan(query) for query in queries]
         batch = BatchPlan(queries, plans)
-        corner = all(_is_corner_key(identity[0]) for identity in batch.unique)
 
         # Classify every (shard, unique probe) pair against the shard extent.
         needed: List[List[ProbeIdentity]] = []
@@ -239,30 +224,29 @@ class ShardRouter:
                     pruned_count += 1
             needed.append(shard_needed)
             covered.append(shard_covered)
-            # A fully pruned corner shard contributes zero to every probe and
-            # a zero base: skip it.  EO82 shards always contribute their
-            # grand total as the merge base, so they are always contacted
-            # (an empty-identity call is lock + two reads, no probe I/O).
-            if shard_needed or shard_covered or not corner:
+            # A fully pruned shard contributes zero to every probe: skip it.
+            if shard_needed or shard_covered:
                 contacted.append(sid)
 
-        snapshots, failed = self._resolve(contacted, needed)
+        snapshots = self._gather(
+            contacted, lambda sid: self.shards[sid].resolve_probe_values(needed[sid])
+        )
 
         merge_start = time.perf_counter()
         zero = reference.zero
         merged: Dict[ProbeIdentity, Value] = {}
-        base: Value = zero
         shard_epochs: Dict[int, int] = {}
+        failed: List[int] = []
         probes_executed = 0
         cache_hits = 0
         for sid in contacted:
-            if sid in failed:
-                continue
             snapshot = snapshots[sid]
+            if snapshot is None:
+                failed.append(sid)
+                continue
             shard_epochs[sid] = snapshot.epoch
             probes_executed += snapshot.probes_executed
             cache_hits += snapshot.probe_cache_hits
-            base = base + snapshot.base
             for identity, value in zip(needed[sid], snapshot.values):
                 if identity in merged:
                     merged[identity] = merged[identity] + value
@@ -280,13 +264,8 @@ class ShardRouter:
                 merged[identity] = zero
 
         # Corner plans seed from zero, so the reference index's own
-        # reassembly applies unchanged; EO82 plans must seed from the
-        # *merged* cluster base (the sum of every shard's grand total), not
-        # the reference shard's.
-        if corner:
-            results = [reference.box_sum_from_probes(plan, merged) for plan in batch.plans]
-        else:
-            results = [self._combine(plan, merged, base, zero) for plan in batch.plans]
+        # reassembly applies unchanged to the merged probe values.
+        results = [reference.box_sum_from_probes(plan, merged) for plan in batch.plans]
         self._m_merge.observe(time.perf_counter() - merge_start, label=self.label)
 
         self._m_batches.inc(label=self.label)
@@ -309,34 +288,26 @@ class ShardRouter:
             probes_covered=covered_count,
             probes_executed=probes_executed,
             probe_cache_hits=cache_hits,
-            shards_failed=tuple(sorted(failed)),
+            shards_failed=tuple(failed),
         )
 
-    @staticmethod
-    def _combine(plan, merged: Dict[ProbeIdentity, Value], base: Value, zero: Value) -> float:
-        result = combine_probe_values(plan, merged, base, zero)
-        if isinstance(result, SumCount):
-            return result.total
-        return float(result)
+    def _gather(self, contacted: List[int], call: Callable[[int], _T]) -> Dict[int, Optional[_T]]:
+        """``{sid: call(sid)}`` over the contacted shards; None marks a failed shard.
 
-    def _resolve(
-        self, contacted: List[int], needed: List[List[ProbeIdentity]]
-    ) -> Tuple[Dict[int, ProbeSnapshot], set]:
-        """Fan the needed identities out to the contacted shards.
-
-        Returns the per-shard snapshots plus the set of shards that were
-        unavailable (always empty unless ``allow_partial``; any other shard
-        exception propagates out of the gather, with ``executor.map``
-        re-raising it on iteration — the caller holds no shard locks here,
-        so propagation leaks nothing).
+        A shard-level :class:`~repro.core.errors.ShardUnavailableError`
+        becomes None under ``allow_partial`` and propagates otherwise; a
+        shard's own overload is re-raised tagged with its shard id.  Any
+        other exception propagates out of the gather (``executor.map``
+        re-raises it on iteration) — the caller holds no shard locks here,
+        so propagation leaks nothing.
         """
 
-        def run(sid: int) -> Tuple[int, Optional[ProbeSnapshot]]:
+        def run(sid: int) -> Optional[_T]:
             try:
-                return sid, self.shards[sid].resolve_probe_values(needed[sid])
+                return call(sid)
             except ShardUnavailableError:
                 if self.allow_partial:
-                    return sid, None
+                    return None
                 raise
             except ServiceOverloadedError as exc:
                 if exc.shard is None:
@@ -349,11 +320,8 @@ class ShardRouter:
                 raise
 
         if self._executor is not None and len(contacted) > 1:
-            pairs = list(self._executor.map(run, contacted))
-        else:
-            pairs = [run(sid) for sid in contacted]
-        failed = {sid for sid, snapshot in pairs if snapshot is None}
-        return {sid: s for sid, s in pairs if s is not None}, failed
+            return dict(zip(contacted, self._executor.map(run, contacted)))
+        return {sid: run(sid) for sid in contacted}
 
     # -- monolithic fallback (object backends) ------------------------------------
 
@@ -380,40 +348,22 @@ class ShardRouter:
             if keep:
                 contacted.append(sid)
 
-        def run(sid: int) -> Tuple[int, Optional[List[float]], int]:
-            service = self.shards[sid]
-            try:
-                batch = service.batch([queries[i] for i in relevant[sid]])
-            except ShardUnavailableError:
-                if self.allow_partial:
-                    return sid, None, -1
-                raise
-            except ServiceOverloadedError as exc:
-                if exc.shard is None:
-                    raise ServiceOverloadedError(
-                        f"shard {sid} shed a scatter",
-                        inflight=exc.inflight,
-                        queue_depth=exc.queue_depth,
-                        shard=sid,
-                    ) from exc
-                raise
-            return sid, batch.results, batch.epoch
-
-        if self._executor is not None and len(contacted) > 1:
-            answers = list(self._executor.map(run, contacted))
-        else:
-            answers = [run(sid) for sid in contacted]
+        answers = self._gather(
+            contacted,
+            lambda sid: self.shards[sid].batch([queries[i] for i in relevant[sid]]),
+        )
 
         merge_start = time.perf_counter()
         results = [0.0] * len(queries)
         shard_epochs: Dict[int, int] = {}
         failed: List[int] = []
-        for sid, values, epoch in sorted(answers):
-            if values is None:
+        for sid in contacted:
+            answer = answers[sid]
+            if answer is None:
                 failed.append(sid)
                 continue
-            shard_epochs[sid] = epoch
-            for i, value in zip(relevant[sid], values):
+            shard_epochs[sid] = answer.epoch
+            for i, value in zip(relevant[sid], answer.results):
                 results[i] += value
         self._m_merge.observe(time.perf_counter() - merge_start, label=self.label)
         self._m_batches.inc(label=self.label)

@@ -413,7 +413,6 @@ def check_failover(
             num_shards,
             backend=backend,
             replicas=replicas,
-            workers=0,
             partitioner="kd",
             registry=MetricsRegistry(),
             service_wrapper=chaos_member_wrapper(plan),
@@ -464,7 +463,6 @@ def check_failover(
             num_shards,
             backend=backend,
             replicas=replicas,
-            workers=0,
             partitioner="kd",
             registry=MetricsRegistry(),
             service_wrapper=dead_wrapper,

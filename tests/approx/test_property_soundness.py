@@ -35,7 +35,6 @@ def _cluster(backend: str, dims: int, **kwargs) -> ShardedService:
         3,
         backend=backend,
         partitioner="hash",
-        workers=0,
         registry=MetricsRegistry(),
         degrade="bounded",
         **kwargs,

@@ -125,6 +125,45 @@ class TestBoxSumBackends:
         assert index.size_bytes == ctx.size_bytes > 0
 
 
+class TestUnboundedObjects:
+    """Objects whose boxes reach +inf, inserted into multi-level BA-trees.
+
+    A +inf coordinate lies in no half-open index record, so insert routing
+    and the invariant check treat it as the largest float, as queries do.
+    Integer weights keep every sum exact: answers compare with ``==``.
+    """
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_insert_and_delete_match_naive(self, dims):
+        rng = random.Random(f"unbounded-objects-{dims}")
+        inf = float("inf")
+        index = BoxSumIndex(dims, backend="ba", page_size=256)
+        oracle = NaiveBoxSum(dims)
+        live = []
+        for i in range(400):
+            low = [rng.random() for _ in range(dims)]
+            high = [c + 0.01 for c in low]
+            if i % 4 == 1:
+                high[rng.randrange(dims)] = inf
+            elif i % 4 == 2:
+                high = [inf] * dims
+            box, value = Box(low, high), float(rng.randint(1, 9))
+            index.insert(box, value)
+            oracle.insert(box, value)
+            live.append((box, value))
+        for _ in range(100):
+            box, value = live.pop(rng.randrange(len(live)))
+            index.delete(box, value)
+            oracle.insert(box, -value)
+        for tree in index._indices.values():
+            tree.check_invariants()
+        for _ in range(100):
+            low = [rng.random() for _ in range(dims)]
+            high = [inf if rng.random() < 0.3 else c + rng.random() * 0.5 for c in low]
+            query = Box(low, high)
+            assert index.box_sum(query) == oracle.box_sum(query)
+
+
 class TestMeasures:
     def test_count_measure(self, rng):
         objects = random_objects(rng, 100, 2)

@@ -28,7 +28,6 @@ def _cluster(tmp_path, wrapper, *, replog=True, registry=None):
         2,
         1,
         partitioner="hash",
-        workers=0,
         replicas=2,
         registry=registry if registry is not None else MetricsRegistry(),
         resilience=ResilienceConfig(

@@ -34,7 +34,6 @@ def _fast_policy(**overrides) -> HealPolicy:
 
 def _cluster(tmp_path, wrapper=None, *, replog=True, registry=None, **kwargs):
     kwargs.setdefault("partitioner", "hash")
-    kwargs.setdefault("workers", 0)
     kwargs.setdefault("replicas", 2)
     if replog:
         kwargs.setdefault("replog_dir", str(tmp_path / "logs"))
@@ -174,7 +173,6 @@ class TestRestartWorkerAPI:
             2,
             2,
             partitioner="hash",
-            workers=0,
             registry=MetricsRegistry(),
             replog_dir=str(tmp_path / "logs"),
         ) as cluster:

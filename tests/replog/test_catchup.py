@@ -141,7 +141,6 @@ class TestClusterRecovery:
             2,
             3,
             partitioner="kd",
-            workers=0,
             replicas=1,
             replog_dir=str(tmp_path / "replogs"),
             resilience=ResilienceConfig(max_attempts=3, backoff_base_s=0.0),

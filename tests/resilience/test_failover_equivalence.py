@@ -41,7 +41,6 @@ def _chaotic_pair(backend: str, seed: int = 0, shards: int = 3):
         shards,
         backend=backend,
         partitioner="kd",
-        workers=0,
         replicas=1,
         registry=MetricsRegistry(),
         service_wrapper=chaos_member_wrapper(ChaosPlan(seed=seed, raise_rate=0.4)),
@@ -82,7 +81,6 @@ def _dead_shard_cluster(partial: bool, seed: int = 0):
         2,
         3,
         partitioner="kd",
-        workers=0,
         replicas=1,
         registry=MetricsRegistry(),
         service_wrapper=dead_wrapper,
@@ -145,7 +143,7 @@ class TestReplicatedClusterPlumbing:
         reference = BoxSumIndex(2, backend="ba")
         reference.bulk_load(objects)
         with ShardedService(
-            2, 3, partitioner="kd", workers=0, replicas=2, registry=MetricsRegistry()
+            2, 3, partitioner="kd", replicas=2, registry=MetricsRegistry()
         ) as cluster:
             cluster.bulk_load(objects)
             assert cluster.replicas == 2

@@ -31,14 +31,13 @@ def _exact_objects(rng, n, dims):
     return [(random_box(rng, dims), float(rng.randint(1, 9))) for _ in range(n)]
 
 
-def _pair(backend: str, reduction: str = "corner", shards: int = 3):
+def _pair(backend: str, shards: int = 3):
     dims = _dims(backend)
-    reference = BoxSumIndex(dims, backend=backend, reduction=reduction)
+    reference = BoxSumIndex(dims, backend=backend)
     cluster = ShardedService(
         dims,
         shards,
         backend=backend,
-        reduction=reduction,
         partitioner="kd",
         workers="process",
         registry=MetricsRegistry(),
@@ -90,22 +89,6 @@ def test_interleaved_mutations_and_rebalance_stay_bit_identical(backend):
         assert cluster.num_objects == len(live)
 
 
-def test_eo82_reduction_is_bit_identical():
-    rng = random.Random("rpc-eo82")
-    reference, cluster, dims = _pair("ba", reduction="eo82")
-    with cluster:
-        objects = _exact_objects(rng, 60, dims)
-        reference.bulk_load(objects)
-        cluster.bulk_load(objects)
-        for _ in range(8):
-            box, value = random_box(rng, dims), float(rng.randint(1, 9))
-            reference.insert(box, value)
-            cluster.insert(box, value)
-        cluster.rebalance()
-        queries = [random_box(rng, dims, max_side=60.0) for _ in range(15)]
-        assert cluster.box_sum_batch(queries) == [reference.box_sum(q) for q in queries]
-
-
 def test_process_and_inprocess_transports_are_bit_identical():
     """The wire adds framing, never arithmetic: both transports at the same
     topology must agree exactly, probe counters included."""
@@ -124,6 +107,6 @@ def test_process_and_inprocess_transports_are_bit_identical():
             return list(result.results), result.probes_executed
 
     process_answers, process_probes = run("process")
-    inproc_answers, inproc_probes = run(0)
+    inproc_answers, inproc_probes = run(None)
     assert process_answers == inproc_answers
     assert process_probes == inproc_probes

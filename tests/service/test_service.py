@@ -57,13 +57,6 @@ class TestCorrectness:
         with _service(index) as service:
             assert service.box_sum(query) == index.box_sum(query)
 
-    def test_worker_pool_matches_sequential(self, rng):
-        index, _oracle, dims = _family_setup(rng, "ba")
-        queries = [random_box(rng, dims) for _ in range(12)]
-        direct = [index.box_sum(q) for q in queries]
-        with _service(index, workers=3) as service:
-            assert service.box_sum_batch(queries) == direct
-
 
 class TestCaching:
     def test_repeat_batch_hits_result_cache(self, rng):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.errors import ServiceClosedError
@@ -16,7 +18,6 @@ from ..conftest import random_box
 
 def _cluster(dims=2, shards=3, **kwargs):
     kwargs.setdefault("partitioner", "hash")
-    kwargs.setdefault("workers", 0)
     kwargs.setdefault("registry", MetricsRegistry())
     return ShardedService(dims, shards, **kwargs)
 
@@ -178,6 +179,29 @@ class TestLifecycle:
             cluster.insert(random_box(rng, 2))
         assert cluster.closed
         assert all(service.closed for service in cluster.services)
+
+    @pytest.mark.parametrize("replicas", [0, 1])
+    def test_in_process_cluster_starts_no_thread(self, rng, monkeypatch, replicas):
+        """In-process shards answer on the caller's thread: no fan-out pool,
+        and replica groups without a deadline or hedging stay synchronous."""
+        started = []
+        original = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread.name)
+            original(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        with _cluster(partitioner="kd", replicas=replicas) as cluster:
+            cluster.bulk_load(_exact_objects(rng, 60))
+            everything = Box((-1000.0, -1000.0), (1000.0, 1000.0))
+            assert cluster.batch([everything, random_box(rng, 2)]).shards_contacted > 1
+            cluster.insert(random_box(rng, 2), 2.0)
+        assert started == []
+
+    def test_workers_accepts_only_none_or_process(self):
+        with pytest.raises(ValueError, match="workers"):
+            ShardedService(2, 2, workers=2, registry=MetricsRegistry())
 
     def test_shard_count_validation(self):
         from repro.core.errors import ShardError

@@ -34,17 +34,11 @@ def _exact_objects(rng, n, dims):
     return [(random_box(rng, dims), float(rng.randint(1, 9))) for _ in range(n)]
 
 
-def _pair(backend: str, reduction: str, partitioner: str, shards: int = 3):
+def _pair(backend: str, partitioner: str, shards: int = 3):
     dims = _dims(backend)
-    reference = BoxSumIndex(dims, backend=backend, reduction=reduction)
+    reference = BoxSumIndex(dims, backend=backend)
     cluster = ShardedService(
-        dims,
-        shards,
-        backend=backend,
-        reduction=reduction,
-        partitioner=partitioner,
-        workers=0,
-        registry=MetricsRegistry(),
+        dims, shards, backend=backend, partitioner=partitioner, registry=MetricsRegistry()
     )
     return reference, cluster, dims
 
@@ -53,7 +47,7 @@ def _pair(backend: str, reduction: str, partitioner: str, shards: int = 3):
 @pytest.mark.parametrize("backend", FAMILIES)
 def test_bulk_loaded_batch_is_bit_identical(backend, partitioner):
     rng = random.Random(f"{backend}-{partitioner}")
-    reference, cluster, dims = _pair(backend, "corner", partitioner)
+    reference, cluster, dims = _pair(backend, partitioner)
     with cluster:
         objects = _exact_objects(rng, 90, dims)
         reference.bulk_load(objects)
@@ -68,7 +62,7 @@ def test_interleaved_mutations_and_rebalance_stay_bit_identical(backend, partiti
     """Satellite acceptance: inserts, deletes and rebalances interleaved
     with query batches, every answer equal to the unsharded index's."""
     rng = random.Random(f"{backend}-{partitioner}-mut")
-    reference, cluster, dims = _pair(backend, "corner", partitioner)
+    reference, cluster, dims = _pair(backend, partitioner)
 
     def check(n_queries=8):
         queries = [random_box(rng, dims, max_side=60.0) for _ in range(n_queries)]
@@ -97,26 +91,9 @@ def test_interleaved_mutations_and_rebalance_stay_bit_identical(backend, partiti
         assert cluster.num_objects == len(live)
 
 
-@pytest.mark.parametrize("partitioner", PARTITIONERS)
-def test_eo82_reduction_is_bit_identical(partitioner):
-    rng = random.Random(f"eo82-{partitioner}")
-    reference, cluster, dims = _pair("ba", "eo82", partitioner)
-    with cluster:
-        objects = _exact_objects(rng, 80, dims)
-        reference.bulk_load(objects)
-        cluster.bulk_load(objects)
-        for _ in range(10):
-            box, value = random_box(rng, dims), float(rng.randint(1, 9))
-            reference.insert(box, value)
-            cluster.insert(box, value)
-        cluster.rebalance()
-        queries = [random_box(rng, dims, max_side=60.0) for _ in range(20)]
-        assert cluster.box_sum_batch(queries) == [reference.box_sum(q) for q in queries]
-
-
 def test_single_shard_degenerates_to_unsharded():
     rng = random.Random(0x51)
-    reference, cluster, dims = _pair("ba", "corner", "roundrobin", shards=1)
+    reference, cluster, dims = _pair("ba", "roundrobin", shards=1)
     with cluster:
         objects = _exact_objects(rng, 50, dims)
         reference.bulk_load(objects)
@@ -149,7 +126,34 @@ def test_unbounded_query_boxes_match_naive(dims):
     expected = [naive.box_sum(q) for q in queries]
     assert [reference.box_sum(q) for q in queries] == expected
     with ShardedService(
-        dims, 3, partitioner="kd", workers=0, registry=MetricsRegistry(), index_kwargs=small_pages
+        dims, 3, partitioner="kd", registry=MetricsRegistry(), index_kwargs=small_pages
     ) as cluster:
         cluster.bulk_load(objects)
         assert cluster.box_sum_batch(queries) == expected
+
+
+def test_unbounded_objects_insert_into_multi_level_shards():
+    """Objects reaching +inf insert into every shard's BA-trees exactly.
+
+    Small pages make each shard's corner trees multi-level before the
+    unbounded objects arrive, so every insert routes through index records.
+    """
+    rng = random.Random("unbounded-objects")
+    inf = float("inf")
+    naive = NaiveBoxSum(2)
+    objects = _exact_objects(rng, 200, 2)
+    for box, value in objects:
+        naive.insert(box, value)
+    with ShardedService(
+        2, 2, partitioner="kd", registry=MetricsRegistry(), index_kwargs={"page_size": 256}
+    ) as cluster:
+        cluster.bulk_load(objects)
+        for i in range(20):
+            low = [rng.uniform(0.0, 90.0) for _ in range(2)]
+            high = [inf, inf] if i % 2 else [inf, low[1] + 5.0]
+            box, value = Box(low, high), float(rng.randint(1, 9))
+            cluster.insert(box, value)
+            naive.insert(box, value)
+        queries = [random_box(rng, 2, max_side=60.0) for _ in range(30)]
+        queries.append(Box((50.0, 50.0), (inf, inf)))
+        assert cluster.box_sum_batch(queries) == [naive.box_sum(q) for q in queries]

@@ -27,7 +27,6 @@ def _cluster() -> ShardedService:
         2,
         2,
         partitioner="hash",
-        workers=0,
         replicas=1,
         resilience=ResilienceConfig(backoff_base_s=0.0),
         registry=MetricsRegistry(),

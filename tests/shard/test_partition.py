@@ -169,7 +169,6 @@ class TestReplicatedShardMap:
             2,
             2,
             partitioner=ShardMap.from_dict(payload),
-            workers=0,
             registry=MetricsRegistry(),
         ) as cluster:
             assert cluster.replicas == 1

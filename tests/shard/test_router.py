@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.aggregator import BoxSumIndex
+from repro.core.errors import NotSupportedError
 from repro.core.geometry import Box
-from repro.shard import ShardedService
-from repro.shard.router import _NEEDED, _COVERED, _PRUNED, _classify, _probe_bounds
+from repro.service import QueryService
+from repro.shard import ShardedService, ShardRouter
+from repro.shard.router import _NEEDED, _COVERED, _PRUNED, _classify
 
 from ..conftest import random_box
 
@@ -15,7 +18,6 @@ def _cluster(dims=2, shards=2, **kwargs):
     from repro.obs import MetricsRegistry
 
     kwargs.setdefault("partitioner", "roundrobin")
-    kwargs.setdefault("workers", 0)
     kwargs.setdefault("registry", MetricsRegistry())
     return ShardedService(dims, shards, **kwargs)
 
@@ -24,17 +26,13 @@ class TestProbeClassification:
     EXTENT = Box((10.0, 20.0), (30.0, 40.0))
 
     def test_corner_key_uses_extent_verbatim(self):
-        low, high = _probe_bounds((0, 1), self.EXTENT)
-        assert low == (10.0, 20.0)
-        assert high == (30.0, 40.0)
-
-    def test_eo82_key_negates_high_side(self):
-        # EO82 stores -coordinate for HIGH-side dimensions, so the stored
-        # range of dim 1 (HIGH) is [-high, -low].
-        key = ((0, 1), (0, 1))  # dims subset (0,1); sides LOW, HIGH
-        low, high = _probe_bounds(key, self.EXTENT)
-        assert low == (10.0, -40.0)
-        assert high == (30.0, -20.0)
+        # Stored corner points lie in [low, high] of the extent itself: a
+        # probe at the low edge in one dimension dominates none of them, one
+        # at the high edge may still miss some, one past it dominates all.
+        assert _classify(((0, 1), (10.0, 35.0)), self.EXTENT) == _PRUNED
+        assert _classify(((0, 1), (25.0, 20.0)), self.EXTENT) == _PRUNED
+        assert _classify(((0, 1), (30.0, 40.0)), self.EXTENT) == _NEEDED
+        assert _classify(((0, 1), (30.5, 40.5)), self.EXTENT) == _COVERED
 
     def test_probe_below_extent_is_pruned(self):
         probe = ((0, 0), (5.0, 5.0))
@@ -97,19 +95,6 @@ class TestScatterShortcuts:
             assert double.probes_unique == single.probes_unique
             assert double.results[0] == double.results[1] == single.results[0]
 
-    def test_eo82_contacts_every_shard_for_totals(self):
-        with _cluster(reduction="eo82") as cluster:
-            objects = [
-                (Box((float(i), float(i)), (float(i) + 1.0, float(i) + 1.0)), 1.0)
-                for i in range(10, 18)
-            ]
-            cluster.bulk_load(objects)
-            # Even a fully disjoint query needs each shard's grand total to
-            # seed the EO82 complement, so no shard can be skipped.
-            result = cluster.batch([Box((-10.0, -10.0), (-5.0, -5.0))])
-            assert result.results == [0.0]
-            assert result.shards_contacted == cluster.num_shards
-
     def test_epochs_reported_per_shard(self):
         with self._loaded_cluster() as cluster:
             cluster.insert(Box((11.0, 11.0), (12.0, 12.0)), 1.0)
@@ -120,24 +105,19 @@ class TestScatterShortcuts:
                 assert epoch == epochs[sid]
 
 
-class TestThreadedScatter:
-    @pytest.mark.parametrize("workers", [0, 3])
-    def test_workers_do_not_change_answers(self, rng, workers):
-        objects = [(random_box(rng, 2), float(rng.randint(1, 9))) for _ in range(80)]
-        queries = [random_box(rng, 2, max_side=50.0) for _ in range(12)]
-        with _cluster(partitioner="kd", workers=0) as reference:
-            reference.bulk_load(objects)
-            expect = reference.box_sum_batch(queries)
-        with _cluster(partitioner="kd", workers=workers) as cluster:
-            cluster.bulk_load(objects)
-            assert cluster.box_sum_batch(queries) == expect
+class TestCornerOnly:
+    def test_router_rejects_eo82_shards(self):
+        # An EO82 merge must seed from the summed shard grand totals; the
+        # router merges from zero, so it refuses the shard up front.
+        with pytest.raises(NotSupportedError, match="corner"):
+            ShardRouter([QueryService(BoxSumIndex(2, reduction="eo82"))])
 
 
 class TestMonolithicFallback:
     def test_object_backend_routes_through_batch(self, rng):
         objects = [(random_box(rng, 2), float(rng.randint(1, 9))) for _ in range(60)]
         queries = [random_box(rng, 2, max_side=60.0) for _ in range(8)]
-        with _cluster(backend="ar", workers=0) as cluster:
+        with _cluster(backend="ar") as cluster:
             cluster.bulk_load(objects)
             from repro.core.naive import NaiveBoxSum
 

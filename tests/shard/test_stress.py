@@ -27,7 +27,6 @@ def test_concurrent_queries_mutations_and_rebalances():
         2,
         4,
         partitioner="kd",
-        workers=2,
         max_inflight=64,
         max_queue=256,
         registry=MetricsRegistry(),
@@ -114,7 +113,6 @@ def test_no_torn_views_during_migration():
         2,
         2,
         partitioner="kd",
-        workers=2,
         max_inflight=64,
         max_queue=256,
         registry=MetricsRegistry(),
