@@ -141,7 +141,7 @@ class BoxSumIndex:
             from ..rtree import ARTree, RStarTree
 
             cls = ARTree if backend == "ar" else RStarTree
-            self._object_index = cls(self.storage, dims, **backend_kwargs)
+            self._object_index = cls(self.storage, dims, zero=self._zero, **backend_kwargs)
             return
         if backend not in DOMINANCE_BACKENDS:
             raise NotSupportedError(f"unknown backend {backend!r}")

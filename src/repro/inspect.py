@@ -253,10 +253,9 @@ def dump_cluster(cluster: ShardedService) -> str:
     if cluster.approx_tier is not None:
         for line in dump_approx(cluster.approx_tier).splitlines():
             lines.append(f"{_INDENT}{line}")
-    if cluster.groups:
-        for group in cluster.groups:
-            for line in dump_resilience(group).splitlines():
-                lines.append(f"{_INDENT}{line}")
+    for group in cluster.groups:
+        for line in dump_resilience(group).splitlines():
+            lines.append(f"{_INDENT}{line}")
     for sid, (service, extent) in enumerate(zip(cluster.services, cluster.extents())):
         extent_s = _fmt_box(extent) if extent is not None else "empty"
         lines.append(f"{_INDENT}shard {sid} extent={extent_s}")
@@ -271,12 +270,9 @@ def dump_resilience(target) -> str:
     """Failover outline: per-member breaker states and failover traffic.
 
     Accepts a single :class:`~repro.resilience.group.ReplicaGroup` or a
-    replicated :class:`~repro.shard.ShardedService` (one line-group per
-    shard; a cluster of plain services renders a single note).
+    :class:`~repro.shard.ShardedService` (one line-group per shard).
     """
     if isinstance(target, ShardedService):
-        if not target.groups:
-            return "resilience: shards are plain services (no replica groups)"
         return "\n".join(dump_resilience(group) for group in target.groups)
     group = target
     stats = group.stats()

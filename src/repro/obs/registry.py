@@ -43,11 +43,27 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 
 _LabelKey = Tuple[Tuple[str, str], ...]
 
+#: Sorted label keys by the caller's ``labels.items()``, so a hot ``inc``
+#: with the same keyword labels skips the sort.  Only all-``str`` label sets
+#: are kept (``1``, ``1.0`` and ``True`` compare equal but render
+#: differently).  Past ``_KEY_MEMO_MAX`` entries new label sets are sorted
+#: on every call instead, so the memo cannot grow without bound.
+_KEY_MEMO: Dict[Tuple[Tuple[str, object], ...], _LabelKey] = {}
+_KEY_MEMO_MAX = 4096
+
 
 def _label_key(labels: Dict[str, str]) -> _LabelKey:
     if not labels:
         return ()
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
+    items = tuple(labels.items())
+    try:
+        return _KEY_MEMO[items]
+    except (KeyError, TypeError):  # not seen yet, or an unhashable value
+        pass
+    key = tuple(sorted((k, str(v)) for k, v in items))
+    if len(_KEY_MEMO) < _KEY_MEMO_MAX and all(type(v) is str for _, v in items):
+        _KEY_MEMO[items] = key
+    return key
 
 
 def _format_labels(key: _LabelKey) -> str:

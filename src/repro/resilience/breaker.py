@@ -95,6 +95,11 @@ class CircuitBreaker:
 
     def allow(self) -> bool:
         """May the next request be routed to this member right now?"""
+        if self._state == CLOSED:
+            # One attribute read, no lock: a closed breaker admits
+            # everything, and a concurrent transition may as well have
+            # happened just after this call.
+            return True
         with self._lock:
             if self._state == FORCED_OPEN:
                 return False

@@ -82,8 +82,9 @@ class ReplicaGroup:
     Quacks like a :class:`~repro.service.service.QueryService` for every
     verb the cluster and router use (``insert``/``delete``/``bulk_load``,
     ``batch``/``box_sum_batch``/``resolve_probe_values``, ``epoch``,
-    ``stats``, ``close``), so the sharded layers work over groups and bare
-    services uniformly.
+    ``stats``, ``close``).  Every shard of a
+    :class:`~repro.shard.ShardedService` is one, with a single member
+    when it has no replicas; the router also runs over bare services.
 
     Parameters
     ----------
@@ -708,6 +709,10 @@ class ReplicaGroup:
 
     def _serve_inner(self, call: Callable[[object], object], op: str, tracer):
         cfg = self.config
+        # Without a deadline or hedging every attempt runs on the caller's
+        # thread: deterministic, zero thread overhead.  A hung member
+        # blocks here — deadlines are what buy preemption.
+        direct = cfg.deadline_s is None and cfg.hedge_delay_s is None
         tried: List[int] = []
         last_error: Optional[BaseException] = None
         for attempt in range(cfg.max_attempts):
@@ -727,7 +732,7 @@ class ReplicaGroup:
                     )
                 self._backoff(attempt)
             try:
-                result = self._attempt(call, mid, tried)
+                result = call(self.members[mid]) if direct else self._attempt(call, mid, tried)
             except FutureTimeoutError as exc:
                 last_error = exc
                 self.breakers[mid].record_failure()
@@ -750,7 +755,8 @@ class ReplicaGroup:
                     )
                 continue
             self.breakers[mid].record_success()
-            self._note("attempts")
+            with self._stats_lock:
+                self._counts["attempts"] += 1
             self._m_attempts.inc(outcome="ok", label=self.label)
             return result
         self._note("unavailable")
@@ -763,16 +769,22 @@ class ReplicaGroup:
         ) from last_error
 
     def _pick_member(self, tried: Sequence[int]) -> Optional[int]:
-        """First breaker-admitted member, preferring ones not yet tried."""
-        admitted = [
-            mid
-            for mid in range(len(self.members))
-            if not self._poisoned[mid] and self.breakers[mid].allow()
-        ]
-        if not admitted:
-            return None
-        fresh = [mid for mid in admitted if mid not in tried]
-        return fresh[0] if fresh else admitted[0]
+        """First breaker-admitted member, preferring ones not yet tried.
+
+        Every live member's ``allow()`` is consulted, even after a pick:
+        it is what moves an open breaker to half-open once its cooldown
+        has elapsed.
+        """
+        first: Optional[int] = None
+        fresh: Optional[int] = None
+        for mid in range(len(self.members)):
+            if self._poisoned[mid] or not self.breakers[mid].allow():
+                continue
+            if first is None:
+                first = mid
+            if fresh is None and mid not in tried:
+                fresh = mid
+        return first if fresh is None else fresh
 
     def _backoff(self, attempt: int) -> None:
         cfg = self.config
@@ -783,14 +795,10 @@ class ReplicaGroup:
             jitter = 1.0 + cfg.backoff_jitter * self._rng.uniform(-1.0, 1.0)
         self._sleep(base * jitter)
 
-    # -- one attempt: direct, deadlined, or hedged -------------------------------------
+    # -- one threaded attempt: deadlined or hedged -------------------------------------
 
     def _attempt(self, call, mid: int, tried: Sequence[int]):
         cfg = self.config
-        if cfg.deadline_s is None and cfg.hedge_delay_s is None:
-            # Fully synchronous: deterministic, zero thread overhead.  A
-            # hung member blocks here — deadlines are what buy preemption.
-            return call(self.members[mid])
         if cfg.hedge_delay_s is not None:
             return self._attempt_hedged(call, mid, tried)
         future = self._pool().submit(call, self.members[mid])

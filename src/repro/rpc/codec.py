@@ -9,10 +9,13 @@ numbers that are only ever appended to.
 Three building blocks cover every verb:
 
 * **values** — a tagged union: ``0`` float, ``1``
-  :class:`~repro.core.values.SumCount`, ``2`` pickle fallback (polynomials
-  and third-party value types).  Doubles cross the wire as their exact
-  bit patterns, so a multiprocess answer is bit-identical to an
-  in-process one by construction;
+  :class:`~repro.core.values.SumCount`, the only values a worker's
+  :class:`~repro.core.aggregator.BoxSumIndex` produces.  Tags ``2``
+  (pickled values) and ``3`` (:class:`~repro.core.values.BoundedValue`)
+  are retired: any other value type is refused on encode, and either tag
+  on decode.  Doubles cross the wire as their exact bit patterns, so a
+  multiprocess answer is bit-identical to an in-process one by
+  construction;
 * **probe identities** — the ``(key, point)`` pairs of
   :mod:`repro.service.planner`; a key is a corner sign vector (tag ``0``).
   Tags ``1`` (``(dims_subset, sides)`` keys of the Theorem 1 reduction)
@@ -40,7 +43,6 @@ Error codes (wire values; never renumber):
 from __future__ import annotations
 
 import json
-import pickle
 import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,10 +57,8 @@ from ..core.errors import (
     ShardUnavailableError,
     WireProtocolError,
 )
-from ..approx.bounds import ApproxResult
 from ..core.geometry import Box
-from ..core.values import BoundedValue, SumCount
-from ..resilience.partial import PartialResult
+from ..core.values import SumCount
 from ..service.service import BatchResult, ProbeSnapshot
 
 _U8 = struct.Struct("<B")
@@ -73,8 +73,8 @@ _F64 = struct.Struct("<d")
 
 VALUE_FLOAT = 0
 VALUE_SUMCOUNT = 1
-VALUE_PICKLE = 2
-VALUE_BOUNDED = 3
+# Retired in protocol v3, never reused: 2 (pickled values) and 3
+# (``BoundedValue``, which only the parent's approximate tier builds).
 
 
 def _pack_value(parts: List[bytes], value: object) -> None:
@@ -84,14 +84,8 @@ def _pack_value(parts: List[bytes], value: object) -> None:
     elif isinstance(value, SumCount):
         parts.append(_U8.pack(VALUE_SUMCOUNT))
         parts.append(struct.pack("<dd", value.total, value.count))
-    elif isinstance(value, BoundedValue):
-        parts.append(_U8.pack(VALUE_BOUNDED))
-        parts.append(struct.pack("<ddd", value.lo, value.hi, value.estimate))
     else:
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        parts.append(_U8.pack(VALUE_PICKLE))
-        parts.append(_U32.pack(len(blob)))
-        parts.append(blob)
+        raise WireProtocolError(f"value {value!r} is neither a float nor a SumCount")
 
 
 def _unpack_value(payload: bytes, offset: int) -> Tuple[object, int]:
@@ -103,14 +97,6 @@ def _unpack_value(payload: bytes, offset: int) -> Tuple[object, int]:
     if tag == VALUE_SUMCOUNT:
         total, count = struct.unpack_from("<dd", payload, offset)
         return SumCount(total, count), offset + 16
-    if tag == VALUE_BOUNDED:
-        lo, hi, estimate = struct.unpack_from("<ddd", payload, offset)
-        return BoundedValue(lo, hi, estimate), offset + 24
-    if tag == VALUE_PICKLE:
-        (length,) = _U32.unpack_from(payload, offset)
-        offset += _U32.size
-        value = pickle.loads(payload[offset : offset + length])
-        return value, offset + length
     raise WireProtocolError(f"unknown value tag {tag}")
 
 
@@ -572,152 +558,6 @@ def decode_error(payload: bytes) -> BaseException:
     return RemoteWorkerError(message, remote_type=remote_type)
 
 
-# -- PartialResult codec ---------------------------------------------------------
-
-
-def encode_partial_result(partial: PartialResult) -> bytes:
-    """Round-trip codec for the degraded-batch value (wire-safe seam)."""
-    parts: List[bytes] = [_U32.pack(len(partial.results))]
-    for value in partial.results:
-        _pack_value(parts, value)
-    parts.append(_U16.pack(len(partial.answered)))
-    for sid in partial.answered:
-        parts.append(_I32.pack(sid))
-    parts.append(_U16.pack(len(partial.missing)))
-    for sid in partial.missing:
-        parts.append(_I32.pack(sid))
-        extent = partial.missing_extents.get(sid)
-        if extent is None:
-            parts.append(_U8.pack(0))
-        else:
-            parts.append(_U8.pack(1))
-            _pack_box(parts, extent)
-    queries = partial._queries
-    if queries is None:
-        parts.append(_U8.pack(0))
-    else:
-        parts.append(_U8.pack(1))
-        _pack_boxes(parts, queries)
-    return b"".join(parts)
-
-
-def decode_partial_result(payload: bytes) -> PartialResult:
-    (n_results,) = _U32.unpack_from(payload, 0)
-    offset = _U32.size
-    results: List[object] = []
-    for _ in range(n_results):
-        value, offset = _unpack_value(payload, offset)
-        results.append(value)
-    (n_answered,) = _U16.unpack_from(payload, offset)
-    offset += _U16.size
-    answered = []
-    for _ in range(n_answered):
-        (sid,) = _I32.unpack_from(payload, offset)
-        offset += _I32.size
-        answered.append(sid)
-    (n_missing,) = _U16.unpack_from(payload, offset)
-    offset += _U16.size
-    missing = []
-    extents: Dict[int, Optional[Box]] = {}
-    for _ in range(n_missing):
-        (sid,) = _I32.unpack_from(payload, offset)
-        offset += _I32.size
-        (present,) = _U8.unpack_from(payload, offset)
-        offset += _U8.size
-        extent: Optional[Box] = None
-        if present:
-            extent, offset = _unpack_box(payload, offset)
-        missing.append(sid)
-        extents[sid] = extent
-    (has_queries,) = _U8.unpack_from(payload, offset)
-    offset += _U8.size
-    queries: Optional[List[Box]] = None
-    if has_queries:
-        queries, offset = _unpack_boxes(payload, offset)
-    _check_consumed(payload, offset, "partial result")
-    return PartialResult(
-        results,
-        answered=answered,
-        missing=missing,
-        missing_extents=extents,
-        queries=queries,
-    )
-
-
-# -- ApproxResult codec ----------------------------------------------------------
-
-
-def encode_approx_result(result: ApproxResult) -> bytes:
-    """Round-trip codec for certified bounded answers (wire kind for degradation)."""
-    parts: List[bytes] = [_U32.pack(len(result.results))]
-    for bv in result.results:
-        parts.append(struct.pack("<ddd", bv.lo, bv.hi, bv.estimate))
-    _pack_str(parts, result.reason)
-    parts.append(_U64.pack(result.version))
-    parts.append(_U64.pack(result.staleness))
-    parts.append(_U64.pack(result.probes))
-    parts.append(_U16.pack(len(result.answered)))
-    for sid in result.answered:
-        parts.append(_I32.pack(sid))
-    parts.append(_U16.pack(len(result.approximated)))
-    for sid in result.approximated:
-        parts.append(_I32.pack(sid))
-    queries = result.queries
-    if queries is None:
-        parts.append(_U8.pack(0))
-    else:
-        parts.append(_U8.pack(1))
-        _pack_boxes(parts, queries)
-    return b"".join(parts)
-
-
-def decode_approx_result(payload: bytes) -> ApproxResult:
-    (n_results,) = _U32.unpack_from(payload, 0)
-    offset = _U32.size
-    results: List[BoundedValue] = []
-    for _ in range(n_results):
-        lo, hi, estimate = struct.unpack_from("<ddd", payload, offset)
-        offset += 24
-        results.append(BoundedValue(lo, hi, estimate))
-    reason, offset = _unpack_str(payload, offset)
-    (version,) = _U64.unpack_from(payload, offset)
-    offset += _U64.size
-    (staleness,) = _U64.unpack_from(payload, offset)
-    offset += _U64.size
-    (probes,) = _U64.unpack_from(payload, offset)
-    offset += _U64.size
-    (n_answered,) = _U16.unpack_from(payload, offset)
-    offset += _U16.size
-    answered = []
-    for _ in range(n_answered):
-        (sid,) = _I32.unpack_from(payload, offset)
-        offset += _I32.size
-        answered.append(sid)
-    (n_approximated,) = _U16.unpack_from(payload, offset)
-    offset += _U16.size
-    approximated = []
-    for _ in range(n_approximated):
-        (sid,) = _I32.unpack_from(payload, offset)
-        offset += _I32.size
-        approximated.append(sid)
-    (has_queries,) = _U8.unpack_from(payload, offset)
-    offset += _U8.size
-    queries: Optional[List[Box]] = None
-    if has_queries:
-        queries, offset = _unpack_boxes(payload, offset)
-    _check_consumed(payload, offset, "approx result")
-    return ApproxResult(
-        results,
-        reason=reason,
-        approximated=approximated,
-        answered=answered,
-        version=version,
-        staleness=staleness,
-        probes=probes,
-        queries=queries,
-    )
-
-
 __all__ = [
     "ERR_UNKNOWN",
     "ERR_OVERLOADED",
@@ -750,8 +590,4 @@ __all__ = [
     "decode_restore",
     "encode_error",
     "decode_error",
-    "encode_partial_result",
-    "decode_partial_result",
-    "encode_approx_result",
-    "decode_approx_result",
 ]

@@ -35,7 +35,8 @@ from ..core.errors import WireProtocolError
 
 #: Protocol version spoken by this build (bump on incompatible change).
 #: v2: probe snapshots carry no reduction base; probe keys are sign vectors.
-PROTOCOL_VERSION = 2
+#: v3: values are floats or ``SumCount`` only (value tags 2 and 3 retired).
+PROTOCOL_VERSION = 3
 
 #: Magic prefix of the HELLO payload.
 HELLO_MAGIC = b"RPRORPC\x01"

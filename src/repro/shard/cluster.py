@@ -2,7 +2,9 @@
 
 Each shard owns a full :class:`~repro.core.aggregator.BoxSumIndex` (its own
 epoch caches, readers–writer lock and, optionally, storage context) wrapped
-in a :class:`~repro.service.service.QueryService`; the cluster adds:
+in a :class:`~repro.service.service.QueryService`, and every shard is a
+:class:`~repro.resilience.group.ReplicaGroup` of one such member plus one
+per replica; the cluster adds:
 
 * **routing** — inserts go where the :class:`~repro.shard.partition.ShardMap`
   assigns them; deletes follow the *ledger* (the cluster's authoritative
@@ -36,6 +38,7 @@ from ..approx.bounds import ApproxResult
 from ..approx.builder import ApproxPolicy, ApproxTier
 from ..core.aggregator import BoxSumIndex
 from ..core.errors import (
+    DimensionMismatchError,
     NotSupportedError,
     ServiceClosedError,
     ServiceOverloadedError,
@@ -123,21 +126,26 @@ class ShardedService:
         threads so round-trips to different workers overlap.  Answers stay
         bit-identical either way.  Anything else raises ``ValueError``.
     replicas:
-        Synchronous replicas per shard beyond the primary.  A shard is a
-        :class:`~repro.resilience.group.ReplicaGroup` whenever it needs
-        per-shard state beyond the service: replicas, a ``resilience``
-        policy, a ``service_wrapper``, a ``replog_dir`` or a ``heal``
-        policy.  Mutations fan out to every member, queries fail over
+        Synchronous replicas per shard beyond the primary.  Every shard is
+        a :class:`~repro.resilience.group.ReplicaGroup` of ``1 + replicas``
+        members: mutations fan out to every member, queries fail over
         between them behind per-member circuit breakers — and stay
-        bit-identical, since every member answers exactly.  Without any
-        of these the shards stay plain services (no extra layers, no
-        threads).
+        bit-identical, since every member answers exactly.
     resilience:
-        The failover policy (:class:`~repro.resilience.config.ResilienceConfig`):
-        retry budget, per-attempt deadline, backoff, hedged reads, and
-        whether a whole-group outage degrades to a
-        :class:`~repro.resilience.partial.PartialResult` instead of raising
-        :class:`~repro.core.errors.ShardUnavailableError`.
+        The failover policy every shard's group runs
+        (:class:`~repro.resilience.config.ResilienceConfig`, default
+        ``ResilienceConfig()``): retry budget, per-attempt deadline,
+        backoff, hedged reads, and whether a whole-group outage degrades
+        to a :class:`~repro.resilience.partial.PartialResult` instead of
+        raising :class:`~repro.core.errors.ShardUnavailableError`.  Under
+        the default policy, even with one member per shard: a query whose
+        member raises is retried on it ``max_attempts`` times, then raises
+        ``ShardUnavailableError`` chained from the member's error; a
+        mutation whose member raises poisons the member, so the shard
+        raises rather than answer from a possibly half-applied state
+        until ``groups[sid].revive(mid)``, or :meth:`catch_up` with
+        ``replog_dir``, returns it to service.  ``partial_results`` or
+        ``degrade="bounded"`` degrade such outages instead of raising.
     service_wrapper:
         ``(service, shard_id, member_id) -> service`` hook applied to every
         member service as the groups are built — the chaos harness's seam
@@ -212,19 +220,7 @@ class ShardedService:
         shard_kwargs = dict(shard_kwargs or {})
         shard_kwargs.setdefault("max_inflight", max_inflight)
         shard_kwargs.setdefault("max_queue", max_queue)
-        # Anything that needs per-shard state beyond the service makes the
-        # shards replica groups; otherwise the plain single-service path
-        # is untouched (no extra layers, no threads).
-        grouped = bool(
-            replicas
-            or resilience is not None
-            or service_wrapper is not None
-            or replog_dir is not None
-            or heal
-        )
-        self.resilience = (
-            (resilience if resilience is not None else ResilienceConfig()) if grouped else None
-        )
+        self.resilience = resilience if resilience is not None else ResilienceConfig()
         if degrade not in ("off", "bounded"):
             raise ValueError(f'degrade must be "off" or "bounded", got {degrade!r}')
         self.degrade = degrade
@@ -278,7 +274,6 @@ class ShardedService:
                 )
 
         self._groups: List[ReplicaGroup] = []
-        self._shards: List[Union[QueryService, ReplicaGroup]] = []
         #: member ids that label log-seeded members
         self._member_ids = itertools.count(1000)
         for sid in range(num_shards):
@@ -289,9 +284,6 @@ class ShardedService:
                 if service_wrapper is not None:
                     service = service_wrapper(service, sid, member)
                 members.append(service)
-            if not grouped:
-                self._shards.append(members[0])
-                continue
 
             def make_member(sid=sid) -> QueryService:
                 return build_member(f"s{sid}m{next(self._member_ids)}")
@@ -306,7 +298,6 @@ class ShardedService:
                 member_factory=make_member,
             )
             self._groups.append(group)
-            self._shards.append(group)
         # Only round-trips to worker processes can overlap: in-process
         # shards hold the GIL, so they answer on the caller's thread.
         self._executor = None
@@ -317,12 +308,11 @@ class ShardedService:
                 max_workers=min(num_shards, 8), thread_name_prefix="repro-shard"
             )
         self._router = ShardRouter(
-            self._shards,
+            self._groups,
             executor=self._executor,
             registry=registry,
             label=label,
-            allow_partial=bool(self.resilience and self.resilience.partial_results)
-            or self._approx is not None,
+            allow_partial=self.resilience.partial_results or self._approx is not None,
         )
         self._gate = AdmissionGate(max_inflight, max_queue, scope=f"cluster[{label}]")
         self._cluster_lock = RWLock()
@@ -393,7 +383,7 @@ class ShardedService:
 
     @property
     def num_shards(self) -> int:
-        return len(self._shards)
+        return len(self._groups)
 
     @property
     def num_objects(self) -> int:
@@ -407,18 +397,13 @@ class ShardedService:
 
     @property
     def services(self) -> Tuple[QueryService, ...]:
-        """The shard-local services, in shard-id order (read-only use).
-
-        When the shards are replica groups these are the *primaries*; use
-        :attr:`groups` for the full replica topology.
-        """
-        if self._groups:
-            return tuple(group.primary for group in self._groups)
-        return tuple(self._shards)
+        """Each shard's primary member service, in shard-id order (read-only
+        use); :attr:`groups` has the full replica topology."""
+        return tuple(group.primary for group in self._groups)
 
     @property
     def groups(self) -> Tuple[ReplicaGroup, ...]:
-        """The replica groups (empty tuple when the shards are plain services)."""
+        """The shards' replica groups, in shard-id order."""
         return tuple(self._groups)
 
     @property
@@ -454,7 +439,7 @@ class ShardedService:
 
     def epochs(self) -> List[int]:
         """Per-shard service epochs, in shard-id order."""
-        return [service.epoch for service in self._shards]
+        return [group.epoch for group in self._groups]
 
     # -- queries -------------------------------------------------------------------
 
@@ -500,6 +485,7 @@ class ShardedService:
         are enabled; a refused tier falls back to partial, then raises).
         """
         queries = list(queries)
+        self._check_dims(queries)
         try:
             wait_s = self._admit()
         except ServiceOverloadedError:
@@ -531,7 +517,7 @@ class ShardedService:
             )
             if degraded is not None:
                 return degraded
-            if self.resilience and self.resilience.partial_results:
+            if self.resilience.partial_results:
                 with self._stats_lock:
                     self._counts["partial_batches"] += 1
                     self._m_partial.inc(label=self.label)
@@ -609,6 +595,7 @@ class ShardedService:
 
     def insert(self, box: Box, value: float = 1.0) -> int:
         """Insert one object on its assigned shard; returns the shard id."""
+        self._check_dims((box,))
         with self._cluster_lock.read():
             self._check_open()
             key = self._ledger_key(box, value)
@@ -620,7 +607,7 @@ class ShardedService:
                 self._grow_extent(sid, box)
                 self._own(key, sid, 1)
             try:
-                self._shards[sid].insert(box, value)
+                self._groups[sid].insert(box, value)
             except Exception:
                 # The shard never applied it: no ghost may stay in the
                 # ledger for a later rebalance to migrate.  The extent
@@ -641,6 +628,7 @@ class ShardedService:
         additive wherever it lands), at the cost of a transiently negative
         count on that shard.
         """
+        self._check_dims((box,))
         with self._cluster_lock.read():
             self._check_open()
             key = self._ledger_key(box, value)
@@ -653,7 +641,7 @@ class ShardedService:
                 self._grow_extent(sid, box)
                 self._own(key, sid, -1, ledger=owned)
             try:
-                self._shards[sid].delete(box, value)
+                self._groups[sid].delete(box, value)
             except Exception:
                 with self._meta:
                     self._own(key, sid, 1, ledger=owned)
@@ -672,12 +660,13 @@ class ShardedService:
         partially loaded cluster.
         """
         pairs = [(box, float(value)) for box, value in objects]
+        self._check_dims(box for box, _ in pairs)
         with self._cluster_lock.write():
             self._check_open()
             with self._meta:
                 if fit:
                     self._map.fit([box for box, _ in pairs])
-                per_shard: List[List[Tuple[Box, float]]] = [[] for _ in self._shards]
+                per_shard: List[List[Tuple[Box, float]]] = [[] for _ in self._groups]
                 self._ledger.clear()
                 self._extents = [None] * self.num_shards
                 for box, value in pairs:
@@ -687,8 +676,8 @@ class ShardedService:
                     owners = self._ledger.setdefault(self._ledger_key(box, value), {})
                     owners[sid] = owners.get(sid, 0) + 1
                 self._object_counts = [len(chunk) for chunk in per_shard]
-            for sid, service in enumerate(self._shards):
-                service.bulk_load(per_shard[sid])
+            for sid, group in enumerate(self._groups):
+                group.bulk_load(per_shard[sid])
             if self._approx is not None:
                 self._approx.note_bulk_load(per_shard)
         self._note_mutation("bulk_load", None)
@@ -776,8 +765,8 @@ class ShardedService:
             for _ in range(count):
                 self._grow_extent(source, box)
                 self._grow_extent(target, box)
-                self._shards[source].delete(box, value)
-                self._shards[target].insert(box, value)
+                self._groups[source].delete(box, value)
+                self._groups[target].insert(box, value)
                 if self._approx is not None:
                     self._approx.note_migrate(source, target, box, value)
             self._own(key, source, -count)
@@ -790,20 +779,19 @@ class ShardedService:
     @property
     def replication_logs(self) -> Tuple[Optional[ReplicationLog], ...]:
         """Per-shard replication logs (all None without ``replog_dir``)."""
-        if not self._groups:
-            return (None,) * self.num_shards
         return tuple(group.replication_log for group in self._groups)
 
     def _logged_group(self, sid: int) -> ReplicaGroup:
         """Shard ``sid``'s group, which must carry a replication log."""
         if not 0 <= sid < self.num_shards:
             raise ValueError(f"unknown shard {sid}")
-        if self.replication_logs[sid] is None:
+        group = self._groups[sid]
+        if group.replication_log is None:
             raise NotSupportedError(
                 f"cluster {self.label!r} was built without replog_dir; "
                 "log-shipping verbs are unavailable"
             )
-        return self._groups[sid]
+        return group
 
     def checkpoint(self) -> List[object]:
         """Checkpoint every shard's replication log at a mutation boundary.
@@ -919,6 +907,18 @@ class ShardedService:
         current = self._extents[sid]
         self._extents[sid] = box if current is None else current.union(box)
 
+    def _check_dims(self, boxes: Iterable[Box]) -> None:
+        """Refuse a box of the wrong arity before any state is touched.
+
+        A member whose mutation raises is poisoned and a member whose
+        query raises feeds its breaker, so a malformed request must never
+        reach one.
+        """
+        dims = self.dims
+        for box in boxes:
+            if len(box.low) != dims:
+                raise DimensionMismatchError(f"box dims {box.dims} != cluster dims {dims}")
+
     def _check_open(self) -> None:
         if self._gate.closed:
             raise ServiceClosedError("cluster is closed")
@@ -966,11 +966,11 @@ class ShardedService:
         return out
 
     def shard_stats(self) -> List[Dict[str, float]]:
-        """Each shard service's own :meth:`~QueryService.stats` snapshot."""
-        return [service.stats() for service in self._shards]
+        """Each shard primary's own :meth:`~QueryService.stats` snapshot."""
+        return [service.stats() for service in self.services]
 
     def resilience_stats(self) -> List[Dict[str, object]]:
-        """Per-group failover/breaker snapshots (empty without groups)."""
+        """Per-group failover/breaker snapshots, in shard-id order."""
         return [group.stats() for group in self._groups]
 
     def close(self) -> None:
@@ -991,8 +991,8 @@ class ShardedService:
         self._gate.drain()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
-        for service in self._shards:
-            service.close()
+        for group in self._groups:
+            group.close()
         for log in self.replication_logs:
             if log is not None:
                 log.close()

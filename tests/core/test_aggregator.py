@@ -33,12 +33,17 @@ class TestBoxSumBackends:
     def test_insert_path_matches_oracle(self, backend, rng):
         objects = random_objects(rng, 250, 2)
         index = BoxSumIndex(2, backend=backend, buffer_pages=None)
+        # Object backends must start their totals from the measure's zero.
+        paired = BoxSumIndex(2, backend=backend, measure="sum+count", buffer_pages=None)
         oracle = _oracle(objects)
         for box, value in objects:
             index.insert(box, value)
+            paired.insert(box, value)
         for _ in range(40):
             q = random_box(rng, 2, max_side=40.0)
             assert index.box_sum(q) == pytest.approx(oracle.box_sum(q), abs=1e-6)
+            assert paired.box_sum(q) == pytest.approx(oracle.box_sum(q), abs=1e-6)
+            assert paired.box_count(q) == oracle.box_count(q)
 
     @pytest.mark.parametrize("backend", DYNAMIC_BACKENDS + ["ecdf"])
     def test_bulk_load_matches_oracle(self, backend, rng):

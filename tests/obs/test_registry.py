@@ -33,6 +33,22 @@ class TestCounter:
         assert c.value(method="aR") == 5.0
         assert c.value() == 0.0
 
+    def test_label_order_and_value_types_pick_the_rendered_cell(self):
+        # Label keys are memoized by the keyword labels as passed: order
+        # must not split a cell, and values that compare equal but render
+        # differently (1, 1.0, True) must not share one.
+        reg = MetricsRegistry()
+        c = reg.counter("ops")
+        for _ in range(2):
+            c.inc(shard="1", op="get")
+            c.inc(op="get", shard="1")
+            c.inc(shard=1, op="get")
+            c.inc(shard=1.0, op="get")
+            c.inc(shard=True, op="get")
+        assert c.value(op="get", shard="1") == 6.0
+        assert c.value(op="get", shard="1.0") == 2.0
+        assert c.value(op="get", shard="True") == 2.0
+
     def test_rejects_negative_amounts(self):
         reg = MetricsRegistry()
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from repro.core.errors import (
     WireProtocolError,
 )
 from repro.core.geometry import Box
-from repro.core.values import SumCount
+from repro.core.values import BoundedValue, SumCount
 from repro.resilience.partial import PartialResult
 from repro.rpc import codec
 from repro.service.service import BatchResult, ProbeSnapshot
@@ -107,19 +107,31 @@ class TestRequestCodecs:
 
 
 class TestResponseCodecs:
-    def test_snapshot_round_trip_mixed_value_types(self):
-        snapshot = ProbeSnapshot(
-            values=[1.5, SumCount(3.0, 2.0), {"poly": [1, 2]}],
-            total=4.5,
-            epoch=9,
-            probes_executed=2,
-            probe_cache_hits=1,
+    @staticmethod
+    def _snapshot(values):
+        return ProbeSnapshot(
+            values=values, total=4.5, epoch=9, probes_executed=2, probe_cache_hits=1
         )
+
+    def test_snapshot_round_trip_mixed_value_types(self):
+        snapshot = self._snapshot([1.5, SumCount(3.0, 2.0), 7])
         got = codec.decode_snapshot(codec.encode_snapshot(snapshot))
         assert got.values == snapshot.values
         assert isinstance(got.values[1], SumCount)
         assert (got.total, got.epoch) == (4.5, 9)
         assert (got.probes_executed, got.probe_cache_hits) == (2, 1)
+        # Protocol v3 carries floats and SumCount only: no pickle fallback
+        # for other values (tag 2), and a BoundedValue (tag 3) is refused
+        # rather than flattened to a float.
+        for exotic in ({"poly": [1, 2]}, BoundedValue(1.0, 3.0, 2.0)):
+            with pytest.raises(WireProtocolError, match="neither a float nor a SumCount"):
+                codec.encode_snapshot(self._snapshot([1.5, exotic]))
+        payload = bytearray(codec.encode_snapshot(self._snapshot([])))
+        total_tag = 8 + 4 + 4  # epoch u64, then two u32 counters
+        for tag in (2, 3):
+            payload[total_tag] = tag
+            with pytest.raises(WireProtocolError, match=f"unknown value tag {tag}"):
+                codec.decode_snapshot(bytes(payload))
 
     def test_batch_result_round_trip(self):
         result = BatchResult(
@@ -215,33 +227,16 @@ class TestPicklingRegressions:
 
 
 class TestPartialResultCodec:
-    def _partial(self, with_queries: bool) -> PartialResult:
+    def _partial(self) -> PartialResult:
         return PartialResult(
             [1.0, 2.5],
             answered=[0, 2],
             missing=[1, 3],
             missing_extents={1: BOX, 3: None},
-            queries=[BOX, Box((0.0, 0.0), (9.0, 9.0))] if with_queries else None,
+            queries=[BOX, Box((0.0, 0.0), (9.0, 9.0))],
         )
-
-    @pytest.mark.parametrize("with_queries", [True, False])
-    def test_round_trip(self, with_queries):
-        partial = self._partial(with_queries)
-        got = codec.decode_partial_result(codec.encode_partial_result(partial))
-        assert got.results == partial.results
-        assert got.answered == partial.answered
-        assert got.missing == partial.missing
-        assert (got.missing_extents[1].low, got.missing_extents[1].high) == (
-            BOX.low,
-            BOX.high,
-        )
-        assert got.missing_extents[3] is None
-        if with_queries:
-            assert [q.low for q in got._queries] == [q.low for q in partial._queries]
-        else:
-            assert got._queries is None
 
     def test_pickles(self):
-        got = pickle.loads(pickle.dumps(self._partial(True)))
+        got = pickle.loads(pickle.dumps(self._partial()))
         assert got.missing == (1, 3)
         assert got.results == [1.0, 2.5]

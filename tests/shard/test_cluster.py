@@ -135,12 +135,14 @@ class TestStatsAndInspect:
             assert len(stats["epochs"]) == 3
             assert stats["inflight"] == 0
 
-    def test_shard_stats_one_entry_per_shard(self, rng):
-        with _cluster() as cluster:
+    @pytest.mark.parametrize("replicas", [0, 1])
+    def test_shard_stats_one_entry_per_shard(self, rng, replicas):
+        with _cluster(replicas=replicas) as cluster:
             cluster.bulk_load(_exact_objects(rng, 20))
             per_shard = cluster.shard_stats()
             assert len(per_shard) == 3
             assert all("epoch" in entry for entry in per_shard)
+            assert per_shard == [service.stats() for service in cluster.services]
 
     def test_dump_renders_cluster(self, rng):
         with _cluster(partitioner="kd") as cluster:

@@ -1,10 +1,16 @@
 """Regression: a shard exception mid-gather must leak nothing.
 
 A shard blowing up inside the scatter (on the caller's thread for in-process
-shards, or a fan-out pool thread for process workers) has to propagate out
-of ``ShardedService.box_sum`` as-is — and the cluster must remain fully
-usable afterwards: no stuck admission slot, no leaked cluster read lock (a
-rebalance, which needs the write lock, is the canary), no wedged executor.
+shards, or a fan-out pool thread for process workers) is retried on the
+shard's one member ``max_attempts`` times, then has to reach the caller of
+``ShardedService.box_sum`` as a ``ShardUnavailableError`` chained from it —
+and the cluster must remain fully usable afterwards: no stuck admission
+slot, no leaked cluster read lock (a rebalance, which needs the write lock,
+is the canary), no wedged executor.
+
+The failing queries trip the member's circuit breaker, so every cluster
+here uses a breaker with no cooldown: it half-opens on the next attempt
+and closes again once the member answers.
 """
 
 from __future__ import annotations
@@ -15,8 +21,10 @@ import threading
 import pytest
 
 from repro.core.aggregator import BoxSumIndex
+from repro.core.errors import ShardUnavailableError
 from repro.core.geometry import Box
 from repro.obs import MetricsRegistry
+from repro.resilience import BreakerConfig, ResilienceConfig
 from repro.shard import ShardedService
 
 from ..conftest import random_box
@@ -25,9 +33,21 @@ from ..conftest import random_box
 #: router must contact every shard (no extent pruning saves the victim).
 WIDE = Box((0.0, 0.0), (120.0, 120.0))
 
+#: Failover policy whose breaker can close again right after tripping.
+RECOVERABLE = ResilienceConfig(breaker=BreakerConfig(cooldown_s=0.0))
+
 
 def _exact_objects(rng, n, dims=2):
     return [(random_box(rng, dims), float(rng.randint(1, 9))) for _ in range(n)]
+
+
+def _assert_fails_loudly(cluster, query, match):
+    """The member's error arrives chained, after every allowed attempt."""
+    with pytest.raises(ShardUnavailableError) as excinfo:
+        cluster.box_sum(query)
+    cause = excinfo.value.__cause__
+    assert isinstance(cause, RuntimeError) and match in str(cause)
+    assert excinfo.value.attempts == RECOVERABLE.max_attempts
 
 
 def _assert_cluster_recovers(cluster, reference, rng, dims=2):
@@ -53,7 +73,12 @@ def test_probe_path_exception_propagates_cleanly(workers):
     rng = random.Random(0xFA11)
     reference = BoxSumIndex(2, backend="ba")
     with ShardedService(
-        2, 3, partitioner="kd", workers=workers, registry=MetricsRegistry()
+        2,
+        3,
+        partitioner="kd",
+        workers=workers,
+        resilience=RECOVERABLE,
+        registry=MetricsRegistry(),
     ) as cluster:
         objects = _exact_objects(rng, 60)
         reference.bulk_load(objects)
@@ -68,8 +93,7 @@ def test_probe_path_exception_propagates_cleanly(workers):
         victim.resolve_probe_values = boom
         try:
             for _ in range(3):  # repeated failures must not accumulate leaks
-                with pytest.raises(RuntimeError, match="exploded mid-gather"):
-                    cluster.box_sum(WIDE)
+                _assert_fails_loudly(cluster, WIDE, "exploded mid-gather")
         finally:
             victim.resolve_probe_values = original
         _assert_cluster_recovers(cluster, reference, rng)
@@ -81,7 +105,13 @@ def test_monolithic_path_exception_propagates_cleanly(workers):
     rng = random.Random(0xFA12)
     reference = BoxSumIndex(2, backend="ar")
     with ShardedService(
-        2, 3, backend="ar", partitioner="kd", workers=workers, registry=MetricsRegistry()
+        2,
+        3,
+        backend="ar",
+        partitioner="kd",
+        workers=workers,
+        resilience=RECOVERABLE,
+        registry=MetricsRegistry(),
     ) as cluster:
         objects = _exact_objects(rng, 60)
         reference.bulk_load(objects)
@@ -95,8 +125,7 @@ def test_monolithic_path_exception_propagates_cleanly(workers):
 
         victim.batch = boom
         try:
-            with pytest.raises(RuntimeError, match="exploded mid-gather"):
-                cluster.box_sum(WIDE)
+            _assert_fails_loudly(cluster, WIDE, "exploded mid-gather")
         finally:
             victim.batch = original
         _assert_cluster_recovers(cluster, reference, rng)
@@ -106,7 +135,9 @@ def test_shard_admission_slot_is_released_on_gather_failure():
     """The *victim shard's* own gate must not leak either: the exception is
     raised before admission (here), or its finally releases the slot."""
     rng = random.Random(0xFA13)
-    with ShardedService(2, 2, partitioner="kd", registry=MetricsRegistry()) as cluster:
+    with ShardedService(
+        2, 2, partitioner="kd", resilience=RECOVERABLE, registry=MetricsRegistry()
+    ) as cluster:
         cluster.bulk_load(_exact_objects(rng, 40))
         victim = cluster.services[0]
         original = victim.index.probe_value
@@ -121,8 +152,7 @@ def test_shard_admission_slot_is_released_on_gather_failure():
         victim.index.probe_value = corrupt
         try:
             for _ in range(3):
-                with pytest.raises(RuntimeError, match="probe blew up"):
-                    cluster.box_sum(mid)
+                _assert_fails_loudly(cluster, mid, "probe blew up")
         finally:
             victim.index.probe_value = original
         assert victim.stats()["inflight"] == 0.0
