@@ -27,13 +27,7 @@ See :mod:`repro.core.aggregator` for the full facade API and DESIGN.md for
 the architecture and experiment map.
 """
 
-from .approx import (
-    ApproxPolicy,
-    ApproxResult,
-    ApproxSynopsis,
-    ApproxTier,
-    build_synopsis,
-)
+from .approx import ApproxResult, ApproxTier
 from .core import (
     BoundedValue,
     Box,
@@ -134,10 +128,7 @@ __all__ = [
     "HealReport",
     "ComponentHealth",
     "BoundedValue",
-    "ApproxPolicy",
     "ApproxResult",
-    "ApproxSynopsis",
     "ApproxTier",
-    "build_synopsis",
     "__version__",
 ]

@@ -4,7 +4,7 @@ An :class:`ApproxResult` is what the serving layer returns when it
 answers from the approximate tier instead of shedding or failing: a list
 of :class:`~repro.core.values.BoundedValue` intervals — one per query —
 plus enough provenance (reason, which slots were approximated vs answered
-exactly, staleness) for the caller to reason about the degradation.
+exactly) for the caller to reason about the degradation.
 
 Like :class:`~repro.resilience.partial.PartialResult`, it is deliberately
 *not* iterable-as-floats: code that expects exact answers fails loudly
@@ -36,14 +36,11 @@ class ApproxResult:
         ``"direct"`` (explicitly requested, e.g. ``degraded_batch``).
     answered / approximated:
         Sorted slot (shard) ids whose contributions were exact sums vs
-        synopsis intervals.  An unsharded service uses the single slot 0.
+        histogram intervals.  An unsharded service uses the single slot 0.
     version:
         The tier's mutation version at answer time (its logical epoch).
-    staleness:
-        Mutations noted after the serving synopses were built; their
-        signed-weight envelope is already folded into the bounds.
     probes:
-        Synopsis probes executed (``2^d`` per query per approximated slot).
+        Histogram cells examined, summed over queries and approximated slots.
     """
 
     __slots__ = (
@@ -52,7 +49,6 @@ class ApproxResult:
         "answered",
         "approximated",
         "version",
-        "staleness",
         "probes",
         "_queries",
     )
@@ -65,7 +61,6 @@ class ApproxResult:
         approximated: Sequence[int],
         answered: Sequence[int] = (),
         version: int = 0,
-        staleness: int = 0,
         probes: int = 0,
         queries: Optional[Sequence[Box]] = None,
     ) -> None:
@@ -82,7 +77,6 @@ class ApproxResult:
         self.approximated = tuple(sorted(set(int(s) for s in approximated)))
         self.answered = tuple(sorted(set(int(s) for s in answered)))
         self.version = int(version)
-        self.staleness = int(staleness)
         self.probes = int(probes)
         self._queries = tuple(queries) if queries is not None else None
 
@@ -122,7 +116,7 @@ class ApproxResult:
         return (
             f"ApproxResult(n={len(self.results)}, reason={self.reason!r}, "
             f"approximated={self.approximated}, answered={self.answered}, "
-            f"staleness={self.staleness}, max_width={self.max_width():.6g})"
+            f"max_width={self.max_width():.6g})"
         )
 
 

@@ -1,20 +1,22 @@
-"""Approximate-tier experiment: what the bounded synopsis costs and buys.
+"""Approximate-tier experiment: what the box histogram costs and buys.
 
-``python -m repro.bench approx`` builds the :mod:`repro.approx` synopsis
-over a seeded workload and measures it against the exact answers:
+``python -m repro.bench approx`` loads one :class:`~repro.approx.ApproxTier`
+slot (a single box histogram) with a seeded workload and measures it
+against the exact answers:
 
-* **cells / build pages** — the synopsis footprint: grid cells across the
-  2^d corner transforms and the page-count equivalent of its byte size
-  (this is the whole point — a constant-size sketch of an n-object index);
-* **probes per query** — always 2^d: one envelope probe per corner
-  transform, independent of n;
+* **cells / build pages** — the histogram footprint: occupied cells and
+  the page-count equivalent of its bytes (8 B per float, ``2 + 2d`` floats
+  per occupied cell, plus the grid cuts) — a constant-size sketch of an
+  n-object index;
+* **probes per query** — histogram cells examined per query: the
+  occupied cells whose boxes could reach the query, independent of n;
 * **bound width** — mean/max certified band width as a percentage of the
   workload's gross weight: how much certainty degraded answers give up;
 * **actual error** — mean distance of the estimate from the exact answer,
-  same scale: how good the polynomial fit is inside its band;
+  same scale: how good the MBR-share estimate is inside its band;
 * **unsound** — queries whose exact answer escapes the certified band.
   This is pinned at zero in the smoke gate; any other value is a bug in
-  the envelope derivation, not a tuning problem.
+  the bound, not a tuning problem.
 
 Everything here is deterministic under a fixed seed (pure arithmetic, no
 clocks), so every row gates in the smoke baseline.
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Tuple
 
-from ..approx import build_synopsis
+from ..approx import ApproxTier
 from ..core.naive import NaiveBoxSum
 from ..workloads import uniform_boxes
 from .config import BenchConfig
@@ -39,16 +41,15 @@ APPROX_QUERY_SIDE_FRACTION = 0.05
 
 
 def run_approx(cfg: BenchConfig) -> List[Row]:
-    """Build one synopsis, probe it, and compare against the exact oracle."""
+    """Load one histogram, answer from it, and compare against the exact oracle."""
     objects = uniform_boxes(
         cfg.n, dims=cfg.dims, avg_side_fraction=cfg.avg_side_fraction, seed=cfg.seed
     )
     oracle = NaiveBoxSum(cfg.dims)
     for box, value in objects:
         oracle.insert(box, value)
-    synopsis = build_synopsis(
-        [(box, value, 1) for box, value in objects], cfg.dims, epoch=0, version=len(objects)
-    )
+    tier = ApproxTier(cfg.dims)
+    tier.note_bulk_load([objects])
 
     queries = [
         box
@@ -59,37 +60,37 @@ def run_approx(cfg: BenchConfig) -> List[Row]:
             seed=cfg.seed + 1,
         )
     ]
+    result = tier.answer(queries)
     scale = sum(abs(value) for _box, value in objects) or 1.0
     widths: List[float] = []
     errors: List[float] = []
     unsound = 0
-    for query in queries:
-        bounded = synopsis.box_sum(query)
+    for query, bounded in zip(queries, result):
         exact = oracle.box_sum(query)
         widths.append(100.0 * bounded.width / scale)
         errors.append(100.0 * abs(bounded.estimate - exact) / scale)
         if not bounded.contains(exact):
             unsound += 1
 
-    build_pages = math.ceil(synopsis.nbytes() / cfg.page_size)
+    nbytes = tier.nbytes()
     return [
         (
             "cells",
-            float(synopsis.num_cells()),
+            float(tier.num_cells()),
             "cells",
-            f"grid cells across {2**cfg.dims} corner transforms",
+            "occupied histogram cells",
         ),
         (
             "build_pages",
-            float(build_pages),
+            float(math.ceil(nbytes / cfg.page_size)),
             "pages",
-            f"synopsis bytes / page size ({synopsis.nbytes()} B @ {cfg.page_size} B pages)",
+            f"histogram bytes / page size ({nbytes} B @ {cfg.page_size} B pages)",
         ),
         (
             "probes_per_query",
-            float(synopsis.probes_per_query),
-            "probes",
-            "one envelope probe per corner transform, independent of n",
+            round(result.probes / len(queries), 4),
+            "cells",
+            "histogram cells examined per query, independent of n",
         ),
         (
             "mean_width_pct",
@@ -107,7 +108,7 @@ def run_approx(cfg: BenchConfig) -> List[Row]:
             "mean_err_pct",
             round(sum(errors) / len(errors), 4),
             "%",
-            "mean |estimate - exact|, same scale (fit quality inside the band)",
+            "mean |estimate - exact|, same scale (estimate quality inside the band)",
         ),
         (
             "unsound",
@@ -119,10 +120,10 @@ def run_approx(cfg: BenchConfig) -> List[Row]:
 
 
 def approx_experiment(cfg: BenchConfig, verbose: bool = True) -> List[Row]:
-    """Measure the synopsis footprint, band width and soundness."""
+    """Measure the histogram footprint, band width and soundness."""
     rows = run_approx(cfg)
     if verbose:
-        print(banner(f"approx: bounded synopsis vs exact (n={cfg.n}, d={cfg.dims})"))
+        print(banner(f"approx: box histogram vs exact (n={cfg.n}, d={cfg.dims})"))
         print(
             format_table(
                 ["metric", "value", "unit", "note"],

@@ -60,13 +60,13 @@ class BoundedValue:
     """A certified interval answer: ``lo <= exact <= hi`` plus a point estimate.
 
     This is the currency of the approximate tier (:mod:`repro.approx`): a
-    synopsis probe returns one, and the ``2^d`` corner probes of a box-sum
-    are combined by *interval arithmetic* — addition adds endpoints,
-    negation swaps them — so the certified band survives every reduction
-    and every cross-shard merge.  IEEE-754 addition is monotone, so
-    accumulating the ``lo``/``estimate``/``hi`` streams in the same order
-    preserves ``lo <= estimate <= hi`` bit-for-bit; the constructor clamps
-    the estimate into the band as a belt-and-suspenders measure.
+    shard's histogram answers with one, and shards are combined by
+    *interval arithmetic* — addition adds endpoints, negation swaps them —
+    so the certified band survives every cross-shard merge.  IEEE-754
+    addition is monotone, so accumulating the ``lo``/``estimate``/``hi``
+    streams in the same order preserves ``lo <= estimate <= hi``
+    bit-for-bit; the constructor clamps the estimate into the band as a
+    belt-and-suspenders measure.
 
     A :class:`BoundedValue` is deliberately *not* a ``float`` subclass: a
     degraded answer must never be confusable with an exact one.
@@ -103,17 +103,6 @@ class BoundedValue:
     def contains(self, value: float) -> bool:
         """True when ``value`` lies inside the certified band."""
         return self.lo <= float(value) <= self.hi
-
-    def widen(self, lo_delta: float, hi_delta: float) -> "BoundedValue":
-        """Grow the band by ``[lo_delta, hi_delta]`` (``lo_delta <= 0 <= hi_delta``).
-
-        Used for bounded staleness: mutations applied after a synopsis was
-        built shift the exact answer by at most their signed-weight
-        envelope, so widening by that envelope keeps the band sound.
-        """
-        if lo_delta > 0 or hi_delta < 0:
-            raise ValueError(f"widen deltas must satisfy lo <= 0 <= hi, got ({lo_delta}, {hi_delta})")
-        return BoundedValue(self.lo + lo_delta, self.hi + hi_delta, self.estimate)
 
     def __add__(self, other: "BoundedValue | float | int") -> "BoundedValue":
         if isinstance(other, BoundedValue):

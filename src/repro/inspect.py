@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .approx.builder import ApproxTier
+from .approx.histogram import ApproxTier
 from .batree import BATree
 from .bptree import AggBPlusTree
 from .core.errors import NotSupportedError
@@ -297,23 +297,15 @@ def dump_resilience(target) -> str:
 # -- approximate tier ---------------------------------------------------------------------
 
 def dump_approx(tier: ApproxTier) -> str:
-    """Approximate-tier outline: policy, mirrors, per-slot synopses."""
+    """Approximate-tier outline: the shared grid and each slot's histogram."""
     stats = tier.stats()
     lines = [
         f"ApproxTier(label={tier.label}, slots={stats['slots']}, "
         f"measure={stats['measure']})",
-        f"{_INDENT}policy pieces={stats['pieces']} degree={stats['degree']} "
-        f"max_staleness={stats['max_staleness']} auto_refresh={stats['auto_refresh']}",
-        f"{_INDENT}version={stats['version']}",
+        f"{_INDENT}grid={'x'.join(map(str, stats['grid']))} version={stats['version']}",
     ]
     for slot, snap in enumerate(stats["per_slot"]):
-        built = (
-            f"built@{snap['built_version']}" if snap["built_version"] >= 0 else "unbuilt"
-        )
-        lines.append(
-            f"{_INDENT}slot {slot} {built} pending={snap['pending']} "
-            f"cells={snap['cells']} nbytes={snap['nbytes']} objects={snap['objects']}"
-        )
+        lines.append(f"{_INDENT}slot {slot} cells={snap['cells']} gross={snap['gross']:g}")
     return "\n".join(lines)
 
 

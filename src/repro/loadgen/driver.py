@@ -244,14 +244,14 @@ class LoadGenerator:
             )
             if queue_full and op.op in ("point", "batch"):
                 if getattr(self.cluster, "approx_tier", None) is not None:
-                    # Bounded degradation: answer from the synopsis instead of
-                    # shedding.  The synopsis probe bypasses the gate (it does
-                    # no shard work), so the op neither queues nor occupies a
-                    # virtual server — it is priced per probe like a cache hit.
+                    # Bounded degradation: answer from the shards' histograms
+                    # instead of shedding.  That bypasses the gate (it does no
+                    # shard work), so the op neither queues nor occupies a
+                    # virtual server — it is priced per histogram cell
+                    # examined, like a cache hit.
                     bounded_ms = self._degrade_virtual(op, oracle, collector, hit_cost_ms)
-                    if bounded_ms is not None:
-                        collector.record_ok(op.phase, op.op, bounded_ms, bounded=True)
-                        continue
+                    collector.record_ok(op.phase, op.op, bounded_ms, bounded=True)
+                    continue
                 collector.record_shed(op.phase, op.op)
                 continue
             ok, cost_ms, partial, bounded = self._execute_virtual(
@@ -313,7 +313,8 @@ class LoadGenerator:
                     partial = True
                 elif isinstance(outcome, ApproxResult):
                     # Outage blip converted to a bounded answer: price the
-                    # synopsis probes and check containment, not closeness.
+                    # histogram cells examined and check containment, not
+                    # closeness.
                     bounded = True
                     cost_ms += hit_cost_ms * outcome.probes
                     if op.check:
@@ -354,12 +355,9 @@ class LoadGenerator:
         oracle: NaiveBoxSum,
         collector: TrafficCollector,
         hit_cost_ms: float,
-    ) -> Optional[float]:
-        """Answer a would-be-shed query from the synopsis; returns cost or None."""
-        try:
-            outcome = self.cluster.degraded_batch(list(op.queries), reason="overload")
-        except Exception:  # noqa: BLE001 — tier refusal falls back to the shed path
-            return None
+    ) -> float:
+        """Answer a would-be-shed query from the approximate tier; returns its cost."""
+        outcome = self.cluster.degraded_batch(list(op.queries), reason="overload")
         if op.check:
             for box, got in zip(op.queries, outcome.results):
                 collector.record_check(got.contains(oracle.box_sum(box)))

@@ -35,7 +35,7 @@ import threading
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..approx.bounds import ApproxResult
-from ..approx.builder import ApproxPolicy, ApproxTier
+from ..approx.histogram import ApproxTier
 from ..core.aggregator import BoxSumIndex
 from ..core.errors import (
     DimensionMismatchError,
@@ -162,17 +162,16 @@ class ShardedService:
         seeded later — a freshly restored member starts clean.
     degrade:
         ``"off"`` (default) or ``"bounded"``.  With ``"bounded"`` the
-        cluster keeps a per-shard :class:`~repro.approx.ApproxTier` fed
-        from the admitted mutation stream; queries that admission would
-        shed, or whose shards are entirely unavailable, answer from the
-        synopsis as a typed :class:`~repro.approx.ApproxResult` carrying
+        cluster keeps an :class:`~repro.approx.ApproxTier`: one box
+        histogram per shard, updated in place by every admitted mutation,
+        so it is never stale and never rebuilt.  Its grid is cut at
+        :meth:`bulk_load`; before the first bulk load it is a single
+        cell, and answers are sound but loose.  Queries that admission
+        would shed, or whose shards are entirely unavailable, answer from
+        it as a typed :class:`~repro.approx.ApproxResult` carrying
         certified ``[lo, hi]`` bounds instead of failing.  Exact-path
         answers are bit-identical either way — the tier only ever serves
         requests that would otherwise shed, degrade or raise.
-    approx_policy:
-        The tier's :class:`~repro.approx.ApproxPolicy` (fit granularity
-        and degree, bounded-staleness budget, auto-refresh) when
-        ``degrade="bounded"``; ignored otherwise.
     heal:
         A :class:`~repro.heal.HealPolicy` (or ``True`` for the defaults)
         attaches a :class:`~repro.heal.HealSupervisor` to the cluster:
@@ -202,7 +201,6 @@ class ShardedService:
         service_wrapper=None,
         replog_dir: Optional[str] = None,
         degrade: str = "off",
-        approx_policy: Optional[ApproxPolicy] = None,
         heal=None,
     ) -> None:
         self.dims = dims
@@ -228,7 +226,6 @@ class ShardedService:
             ApproxTier(
                 dims,
                 num_shards,
-                policy=approx_policy,
                 measure=measure,
                 registry=registry,
                 label=f"{label}-approx",
@@ -480,9 +477,9 @@ class ShardedService:
         With ``degrade="bounded"`` both failure modes — an admission shed
         and a whole-group outage — degrade to an
         :class:`~repro.approx.ApproxResult` instead: the answered shards'
-        exact sums plus certified synopsis intervals for what's missing,
+        exact sums plus the missing shards' certified histogram intervals,
         merged by interval arithmetic (bounded beats partial when both
-        are enabled; a refused tier falls back to partial, then raises).
+        are enabled).
         """
         queries = list(queries)
         self._check_dims(queries)
@@ -541,9 +538,11 @@ class ShardedService:
         This is the explicit entry point for callers that already know the
         exact path is saturated (e.g. a load generator's queue model) and
         for tests; serving's own overload/outage fallbacks use the same
-        tier.  Raises :class:`~repro.core.errors.NotSupportedError` when
-        the cluster was built without ``degrade="bounded"`` or the tier
-        refuses (stale beyond an ``auto_refresh=False`` policy).
+        tier, which always answers from every mutation admitted so far.
+        Raises :class:`~repro.core.errors.NotSupportedError` when the
+        cluster was built without ``degrade="bounded"``, and
+        :class:`~repro.core.errors.DimensionMismatchError` for a query of
+        the wrong arity.
         """
         if self._approx is None:
             raise NotSupportedError(
@@ -562,14 +561,13 @@ class ShardedService:
         base=None,
         answered: Sequence[int] = (),
     ) -> Optional[ApproxResult]:
-        """A certified bounded answer, or None to let the caller fail loudly."""
+        """A certified bounded answer, or None (no tier) to let the caller fail loudly."""
         if self._approx is None:
             return None
-        result = self._approx.try_answer(
+        result = self._approx.answer(
             queries, reason=reason, slots=slots, base=base, answered=answered
         )
-        if result is not None:
-            self._note_degraded(reason)
+        self._note_degraded(reason)
         return result
 
     def _note_degraded(self, reason: str) -> None:
@@ -647,7 +645,7 @@ class ShardedService:
                     self._own(key, sid, 1, ledger=owned)
                 raise
             if self._approx is not None:
-                self._approx.note_delete(sid, box, value)
+                self._approx.note_delete(sid, box, value, owned=owned)
         self._note_mutation("delete", sid)
         return sid
 

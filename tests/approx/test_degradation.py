@@ -1,14 +1,16 @@
-"""Degradation wiring: overload, outage, staleness and default-off."""
+"""Degradation wiring: overload, outage, in-place updates and default-off."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from repro import Box, BoxSumIndex
-from repro.approx import ApproxPolicy, ApproxResult
-from repro.core.errors import NotSupportedError, ShardUnavailableError
+from repro.approx import ApproxResult
+from repro.core.errors import DimensionMismatchError, NotSupportedError, ShardUnavailableError
+from repro.core.naive import NaiveBoxSum
 from repro.obs import MetricsRegistry
 from repro.service import QueryService, ServiceOverloadedError
 from repro.shard import ShardedService
@@ -111,31 +113,85 @@ class TestClusterDegradation:
             on.bulk_load(objects)
             assert off.batch(queries).results == on.batch(queries).results
 
-    def test_staleness_policy_and_rebuild(self):
-        rng = random.Random("staleness")
-        policy = ApproxPolicy(max_staleness=5)
-        # One shard = one slot, so the pending-mutation arithmetic is exact.
+    def test_next_answer_reflects_each_mutation(self):
+        rng = random.Random("in-place")
+        # Every cell lies inside a query spanning the space, so its band is
+        # the net weight to within the float guard.
+        everything = [Box((-math.inf, -math.inf), (math.inf, math.inf))]
+        with _cluster() as cluster:
+            objects = _objects(rng, 50)
+            cluster.bulk_load(objects)
+            total = sum(value for _, value in objects)
+            tier = cluster.approx_tier
+            grid, cells = tier.stats()["grid"], tier.num_cells()
+            steps = [("insert", random_box(rng, 2), 2.0) for _ in range(3)]
+            steps += [("delete", box, value) for box, value in objects[:3]]
+            steps.append(("delete", random_box(rng, 2), 4.0))  # never inserted
+            for op, box, value in steps:
+                getattr(cluster, op)(box, value)
+                total += value if op == "insert" else -value
+                band = cluster.degraded_batch(everything)[0]
+                assert band.contains(total) and band.width < 1e-6
+            # Updated in place: the grid is still the bulk load's, and only
+            # the four new boxes can have opened new cells.
+            assert tier.stats()["grid"] == grid
+            assert tier.num_cells() <= cells + 4
+
+    def test_degraded_batch_refuses_wrong_arity(self):
+        rng = random.Random("arity")
+        with _cluster() as cluster:
+            cluster.bulk_load(_objects(rng, 20))
+            for query in (
+                Box((0.0,), (1.0,)),
+                Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+            ):
+                with pytest.raises(DimensionMismatchError):
+                    cluster.degraded_batch([random_box(rng, 2), query])
+            assert cluster.stats()["degraded_batches"] == 0.0
+
+    @pytest.mark.parametrize("path", ["overload", "direct"])
+    def test_boxes_reaching_infinity_degrade_soundly(self, path):
+        inf = math.inf
+        objects = [
+            (Box((1.0, 1.0), (2.0, 2.0)), 1.0),
+            (Box((50.0, 50.0), (inf, 60.0)), 5.0),  # reaches +inf
+            (Box((20.0, -inf), (30.0, 40.0)), 2.0),  # reaches -inf
+            (Box((-inf, 5.0), (inf, 6.0)), 3.0),  # spans (-inf, +inf)
+            (Box((5.0, inf), (8.0, inf)), 7.0),  # degenerate at +inf
+            (Box((3.0, 3.0), (9.0, 9.0)), -4.0),
+        ]
+        oracle = NaiveBoxSum(2)
+        for box, value in objects:
+            oracle.insert(box, value)
+        queries = [
+            Box((0.0, 0.0), (10.0, 10.0)),
+            Box((40.0, 40.0), (inf, inf)),
+            Box((-inf, -inf), (25.0, 25.0)),
+            Box((-inf, -inf), (inf, inf)),
+            Box((6.0, 6.0), (7.0, inf)),
+            Box((inf, inf), (inf, inf)),
+        ]
         with ShardedService(
             2,
-            1,
+            2,
             partitioner="hash",
-            registry=MetricsRegistry(),
             degrade="bounded",
-            approx_policy=policy,
+            max_inflight=1,
+            max_queue=0,
+            registry=MetricsRegistry(),
         ) as cluster:
-            cluster.bulk_load(_objects(rng, 50))
-            cluster.degraded_batch([random_box(rng, 2)])
-            for _ in range(3):
-                cluster.insert(random_box(rng, 2), 2.0)
-            result = cluster.degraded_batch([random_box(rng, 2)])
-            assert result.staleness == 3  # within budget: widened, not rebuilt
-            for _ in range(4):
-                cluster.insert(random_box(rng, 2), 2.0)
-            result = cluster.degraded_batch([random_box(rng, 2)])
-            assert result.staleness == 0  # budget blown: stale slots rebuilt
-            tier = cluster.approx_tier
-            assert tier is not None
-            assert all(slot["pending"] == 0 for slot in tier.stats()["per_slot"])
+            cluster.bulk_load(objects)
+            if path == "overload":
+                cluster.admission.admit()
+                try:
+                    result = cluster.batch(queries)
+                finally:
+                    cluster.admission.release()
+            else:
+                result = cluster.degraded_batch(queries)
+            assert isinstance(result, ApproxResult) and result.reason == path
+            exact = [oracle.box_sum(q) for q in queries]
+            assert result.contains(exact), (result.bands(), exact)
 
     def test_stats_expose_tier(self):
         with _cluster() as cluster:

@@ -1,59 +1,71 @@
-"""Soundness and determinism of the synopsis index against a naive oracle."""
+"""Soundness and determinism of the tier's box histogram against a naive oracle.
 
+The histogram is the approximate tier's synopsis: one grid shared by every
+slot, and per slot the signed weight and MBR of each occupied cell.
+"""
+
+import math
 import random
 
 import pytest
 
 from repro import Box
-from repro.approx.fit import build_grid_fit
-from repro.approx.synopsis import build_synopsis, measured_weight
+from repro.approx import ApproxTier, measured_weight
+from repro.approx.histogram import CELLS_PER_SLOT, cells_per_dim
 from repro.core.errors import DimensionMismatchError, NotSupportedError
 from repro.core.naive import NaiveBoxSum
 
 from ..conftest import random_box
 
+INF = math.inf
+
 
 def _random_items(rng, n, dims):
-    """Signed-weight (box, value, count) triples, deletes included."""
-    items = []
-    for _ in range(n):
-        box = random_box(rng, dims)
-        value = rng.uniform(-5.0, 10.0)
-        items.append((box, value, 1))
-    return items
+    """Signed-weight (box, value) pairs."""
+    return [(random_box(rng, dims), rng.uniform(-5.0, 10.0)) for _ in range(n)]
 
 
-def _oracle(items, dims):
+def _loaded(items, dims, **kwargs):
+    tier = ApproxTier(dims, **kwargs)
+    tier.note_bulk_load([items])
+    return tier
+
+
+def _oracle(items, dims, measure="sum"):
     oracle = NaiveBoxSum(dims)
-    for box, value, count in items:
-        for _ in range(count):
-            oracle.insert(box, value)
+    for box, value in items:
+        oracle.insert(box, measured_weight(value, measure))
     return oracle
 
 
-class TestGridFit:
-    def test_empty_fit_returns_zero(self):
-        fit = build_grid_fit([], 2)
-        assert fit.probe((5.0, 5.0)) == (0.0, 0.0, 0.0)
-        assert fit.num_cells == 0
+def _answer(tier, query):
+    return tier.answer([query])[0]
 
-    def test_probe_band_contains_cumulative_sum(self):
-        rng = random.Random(11)
-        points = [((rng.uniform(0, 100), rng.uniform(0, 100)), rng.uniform(-3, 5)) for _ in range(400)]
-        fit = build_grid_fit(points, 2, pieces=6)
-        for _ in range(200):
-            x = (rng.uniform(-10, 110), rng.uniform(-10, 110))
-            exact = sum(w for p, w in points if p[0] < x[0] and p[1] < x[1])
-            est, lo, hi = fit.probe(x)
-            assert lo <= exact <= hi
-            assert lo <= est <= hi
+
+class TestGridFit:
+    """The grid is cut at bulk load; before it, it is a single cell."""
+
+    def test_empty_fit_returns_zero(self):
+        tier = _loaded([], 2)
+        assert tier.stats()["grid"] == [1, 1]
+        bounded = _answer(tier, Box((0.0, 0.0), (10.0, 10.0)))
+        assert bounded.is_exact and bounded.estimate == 0.0
+        assert tier.num_cells() == 0
 
     def test_single_piece_grid(self):
-        points = [((1.0,), 2.0), ((2.0,), 3.0)]
-        fit = build_grid_fit(points, 1, pieces=1)
-        assert fit.num_cells == 1
-        est, lo, hi = fit.probe((10.0,))
-        assert lo <= 5.0 <= hi
+        # Before the first bulk load the grid is one cell reaching to
+        # -inf and +inf: only a query as wide as the space counts it whole.
+        tier = ApproxTier(2)
+        tier.note_insert(0, Box((1.0, 1.0), (2.0, 2.0)), 2.0)
+        tier.note_insert(0, Box((5.0, 5.0), (6.0, 6.0)), 3.0)
+        assert tier.stats()["grid"] == [1, 1]
+        assert tier.num_cells() == 1
+        everything = tier.answer([Box((-INF, -INF), (INF, INF))])
+        assert everything.probes == 1
+        assert abs(everything[0].estimate - 5.0) < 1e-9
+        assert everything[0].width < 1e-6
+        loose = _answer(tier, Box((0.0, 0.0), (3.0, 3.0)))
+        assert (loose.lo, loose.hi) == pytest.approx((0.0, 5.0), abs=1e-6)
 
 
 class TestSynopsisSoundness:
@@ -62,80 +74,160 @@ class TestSynopsisSoundness:
     def test_band_contains_exact(self, dims, measure):
         rng = random.Random(100 + dims)
         items = _random_items(rng, 300, dims)
-        synopsis = build_synopsis(items, dims, measure=measure)
-        oracle = NaiveBoxSum(dims)
-        for box, value, count in items:
-            oracle.insert(box, measured_weight(value, measure) * count)
+        tier = _loaded(items, dims, measure=measure)
+        oracle = _oracle(items, dims, measure)
+        # Then churn in place: inserts, owned deletes, unowned deletes.
+        for _ in range(60):
+            box, value = random_box(rng, dims), rng.uniform(-5.0, 10.0)
+            tier.note_insert(0, box, value)
+            oracle.insert(box, measured_weight(value, measure))
+        for _ in range(40):
+            box, value = items.pop(rng.randrange(len(items)))
+            tier.note_delete(0, box, value, owned=True)
+            oracle.insert(box, -measured_weight(value, measure))
+        for _ in range(20):
+            box, value = random_box(rng, dims), rng.uniform(-5.0, 10.0)
+            tier.note_delete(0, box, value, owned=False)
+            oracle.insert(box, -measured_weight(value, measure))
         for _ in range(150):
             query = random_box(rng, dims)
             exact = oracle.box_sum(query)
-            bounded = synopsis.box_sum(query)
+            bounded = _answer(tier, query)
             assert bounded.contains(exact), (query, bounded, exact)
 
-    @pytest.mark.parametrize("degree", [0, 1])
-    def test_degrees_sound(self, degree):
-        rng = random.Random(7)
-        items = _random_items(rng, 250, 2)
-        synopsis = build_synopsis(items, 2, degree=degree)
-        oracle = _oracle(items, 2)
-        for _ in range(100):
-            query = random_box(rng, 2)
-            assert synopsis.box_sum(query).contains(oracle.box_sum(query))
-
     def test_coarse_grid_sound(self):
+        # The single-cell grid a tier starts with is loose but sound.
         rng = random.Random(8)
         items = _random_items(rng, 200, 2)
-        synopsis = build_synopsis(items, 2, pieces=1)
+        tier = ApproxTier(2)
+        for box, value in items:
+            tier.note_insert(0, box, value)
         oracle = _oracle(items, 2)
         for _ in range(80):
             query = random_box(rng, 2)
-            assert synopsis.box_sum(query).contains(oracle.box_sum(query))
+            assert _answer(tier, query).contains(oracle.box_sum(query))
 
     def test_empty_synopsis(self):
-        synopsis = build_synopsis([], 2)
-        bounded = synopsis.box_sum(Box((0.0, 0.0), (10.0, 10.0)))
+        bounded = _answer(ApproxTier(2), Box((0.0, 0.0), (10.0, 10.0)))
         assert bounded.is_exact and bounded.estimate == 0.0
 
     def test_total_query_is_tight_side(self):
-        # A query covering everything probes the far corner of every grid.
-        items = [(Box((1.0, 1.0), (2.0, 2.0)), 3.0, 2), (Box((5.0, 5.0), (6.0, 6.0)), -1.0, 1)]
-        synopsis = build_synopsis(items, 2)
-        bounded = synopsis.box_sum(Box((0.0, 0.0), (100.0, 100.0)))
-        assert bounded.contains(5.0)
+        # Every cell lies inside a query spanning the space: exact net weight.
+        items = [
+            (Box((1.0, 1.0), (2.0, 2.0)), 3.0),
+            (Box((1.0, 1.0), (2.0, 2.0)), 3.0),
+            (Box((5.0, 5.0), (6.0, 6.0)), -1.0),
+        ]
+        tier = _loaded(items, 2)
+        bounded = _answer(tier, Box((-INF, -INF), (INF, INF)))
+        assert bounded.contains(5.0) and bounded.width < 1e-6
+        assert _answer(tier, Box((0.0, 0.0), (100.0, 100.0))).contains(5.0)
 
 
 class TestSynopsisApi:
     def test_deterministic_rebuild(self):
         rng = random.Random(3)
         items = _random_items(rng, 150, 2)
-        a = build_synopsis(items, 2)
-        b = build_synopsis(items, 2)
+        a = _loaded(items, 2)
+        b = _loaded(items, 2)
         rng2 = random.Random(4)
         queries = [random_box(rng2, 2) for _ in range(40)]
-        assert a.box_sum_batch(queries) == b.box_sum_batch(queries)
+        assert a.answer(queries).results == b.answer(queries).results
 
     def test_batch_matches_single(self):
         rng = random.Random(5)
-        items = _random_items(rng, 100, 2)
-        synopsis = build_synopsis(items, 2)
+        tier = _loaded(_random_items(rng, 100, 2), 2)
         queries = [random_box(rng, 2) for _ in range(10)]
-        assert synopsis.box_sum_batch(queries) == [synopsis.box_sum(q) for q in queries]
+        assert tier.answer(queries).results == [_answer(tier, q) for q in queries]
 
     def test_dims_mismatch(self):
-        synopsis = build_synopsis([], 2)
+        tier = ApproxTier(2)
         with pytest.raises(DimensionMismatchError):
-            synopsis.box_sum(Box((0.0,), (1.0,)))
+            tier.answer([Box((0.0,), (1.0,))])
+        with pytest.raises(DimensionMismatchError):
+            tier.answer([Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))])
 
     def test_unsupported_measure(self):
         with pytest.raises(NotSupportedError):
-            build_synopsis([], 2, measure="max")
+            ApproxTier(2, measure="max")
 
     def test_probes_and_stats(self):
         rng = random.Random(6)
-        items = _random_items(rng, 50, 2)
-        synopsis = build_synopsis(items, 2, pieces=4, epoch=9, version=50)
-        assert synopsis.probes_per_query == 4
-        stats = synopsis.stats()
-        assert stats["epoch"] == 9 and stats["version"] == 50
-        assert stats["cells"] == synopsis.num_cells() > 0
-        assert synopsis.nbytes() > 0
+        tier = _loaded(_random_items(rng, 50, 2), 2, slots=1)
+        result = tier.answer([Box((-INF, -INF), (INF, INF))])
+        assert result.probes == tier.num_cells() > 0  # every occupied cell examined
+        assert tier.answer([Box((1e9, 1e9), (2e9, 2e9))]).probes <= 1
+        stats = tier.stats()
+        assert stats["grid"] == [16, 16]
+        assert stats["per_slot"][0]["cells"] == tier.num_cells()
+        assert tier.nbytes() == 8 * (6 * tier.num_cells() + 2 * 15)
+
+
+class TestHistogram:
+    def test_budget_split_evenly(self):
+        assert [cells_per_dim(d) for d in (1, 2, 3, 4)] == [256, 16, 6, 4]
+        assert cells_per_dim(2) ** 2 <= CELLS_PER_SLOT
+
+    def test_non_finite_centers_never_count_inside(self):
+        # A box reaching +inf, one reaching -inf, one spanning (-inf, +inf),
+        # and one degenerate at +inf, which intersects no query at all.
+        items = [
+            (Box((1.0, 1.0), (2.0, 2.0)), 1.0),
+            (Box((50.0, 50.0), (INF, 60.0)), 5.0),
+            (Box((-INF, 3.0), (4.0, 5.0)), 2.0),
+            (Box((-INF, 0.0), (INF, 1.0)), 3.0),
+            (Box((5.0, INF), (6.0, INF)), 7.0),
+        ]
+        tier = _loaded(items, 2)
+        oracle = _oracle(items, 2)
+        for query in (
+            Box((0.0, 0.0), (10.0, 10.0)),
+            Box((-INF, -INF), (INF, INF)),
+            Box((55.0, 55.0), (INF, INF)),
+            Box((INF, INF), (INF, INF)),
+            Box((5.0, 5.0), (6.0, INF)),
+        ):
+            assert _answer(tier, query).contains(oracle.box_sum(query)), query
+
+    def test_take_back_restores_the_band(self):
+        rng = random.Random(9)
+        items = _random_items(rng, 200, 2)
+        tier = _loaded(items, 2)
+        # The query cuts through the new box's cell, so the box widens the band.
+        query = Box((30.5, 30.5), (60.0, 60.0))
+        before = _answer(tier, query)
+        box = Box((30.0, 30.0), (31.0, 31.0))
+        tier.note_insert(0, box, 4.0)
+        grown = _answer(tier, query)
+        assert (grown.lo, grown.hi) == pytest.approx((before.lo, before.hi + 4.0))
+        tier.note_delete(0, box, 4.0, owned=True)
+        after = _answer(tier, query)
+        assert (after.lo, after.hi) == pytest.approx((before.lo, before.hi))
+
+    def test_unowned_delete_is_a_negated_object(self):
+        tier = _loaded([(Box((1.0, 1.0), (2.0, 2.0)), 3.0)], 2)
+        tier.note_delete(0, Box((8.0, 8.0), (9.0, 9.0)), 3.0, owned=False)
+        bounded = _answer(tier, Box((-INF, -INF), (INF, INF)))
+        assert abs(bounded.estimate) < 1e-9
+        assert _answer(tier, Box((7.0, 7.0), (10.0, 10.0))).contains(-3.0)
+
+    def test_migrate_moves_weight_between_slots(self):
+        box = Box((1.0, 1.0), (2.0, 2.0))
+        tier = ApproxTier(2, 2)
+        tier.note_bulk_load([[(box, 3.0)], []])
+        tier.note_migrate(0, 1, box, 3.0)
+        everything = Box((-INF, -INF), (INF, INF))
+        assert tier.answer([everything], slots=[0])[0].contains(0.0)
+        assert tier.answer([everything], slots=[1])[0].contains(3.0)
+        assert tier.answer([everything], slots=[1])[0].width < 1e-6
+
+    def test_reach_widens_the_scan(self):
+        items = [(Box((float(i), float(i)), (i + 0.5, i + 0.5)), 1.0) for i in range(100)]
+        tier = _loaded(items, 2)
+        query = Box((200.0, 200.0), (201.0, 201.0))
+        assert tier.answer([query]).probes == 1  # only the corner cell
+        wide = Box((-300.0, -300.0), (300.0, 300.0))
+        tier.note_insert(0, wide, 2.0)
+        result = tier.answer([query])
+        assert result.probes > 1
+        assert result[0].contains(2.0)

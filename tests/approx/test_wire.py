@@ -39,7 +39,6 @@ def _result(with_queries: bool) -> ApproxResult:
         approximated=[1],
         answered=[0, 2],
         version=41,
-        staleness=7,
         probes=16,
         queries=[BOX, Box((0.0, 0.0), (9.0, 9.0))] if with_queries else None,
     )

@@ -4,6 +4,8 @@ Every ``python`` block of README.md is parsed, not run.  Each call to a
 callable exported by the public packages must pass only keywords that the
 callable's signature accepts, so a removed or renamed parameter cannot
 linger in the documentation.  Callables taking ``**kwargs`` are skipped.
+Every ``from repro... import name`` must resolve, so a removed name cannot
+linger either.
 """
 
 from __future__ import annotations
@@ -46,10 +48,33 @@ def _exported_parameters():
     return out
 
 
-def test_readme_calls_use_only_accepted_keywords():
-    accepted = _exported_parameters()
+def _python_blocks():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
     assert blocks, "README.md has no python blocks"
+    return blocks
+
+
+def test_readme_imports_resolve():
+    checked = 0
+    missing = []
+    for number, block in enumerate(_python_blocks(), 1):
+        for node in ast.walk(ast.parse(block)):
+            if not isinstance(node, ast.ImportFrom) or node.level:
+                continue
+            if node.module != "repro" and not node.module.startswith("repro."):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                checked += 1
+                if not hasattr(module, alias.name):
+                    missing.append(f"block {number}: from {node.module} import {alias.name}")
+    assert checked, "no README block imports from repro"
+    assert not missing, f"README imports names that do not exist: {missing}"
+
+
+def test_readme_calls_use_only_accepted_keywords():
+    accepted = _exported_parameters()
+    blocks = _python_blocks()
     checked = 0
     unknown = []
     for number, block in enumerate(blocks, 1):
